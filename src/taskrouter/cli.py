@@ -141,11 +141,11 @@ def cmd_train_base(args: argparse.Namespace) -> int:
     classes = _parse_classes(args.classes)
     rows = _train_rows(records, classes)
     config = _featurizer_from(args)
-    params = ExpansionParams.create(args.seed, config.d_f, config.d_e)
+    params = ExpansionParams.for_config(config)
     features = featurize_batch([r.text for r in rows], config, params)
     labels = scheduler.one_hot([r.task_id for r in rows], max(classes) + 1)
     state = scheduler.fit_base(
-        features, labels, args.gamma, featurizer=config, expansion_seed=args.seed
+        features, labels, args.gamma, featurizer=config, expansion_seed=params.seed
     )
     scheduler.save_state(state, args.state_out)
     print(json.dumps({"state": args.state_out, "d_K": state.d_k, "rows": len(rows)}))
@@ -165,10 +165,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     if new_class < state.d_k and np.any(state.Q[:, new_class] != 0.0):
         raise ValueError(f"class {new_class} is already trained in this state")
     rows = _train_rows(records, [new_class])
-    seed = state.expansion_seed
-    if seed is None:
-        seed = state.featurizer.seed
-    params = ExpansionParams.create(seed, state.featurizer.d_f, state.featurizer.d_e)
+    params = ExpansionParams.for_config(state.featurizer, state.expansion_seed)
     features = featurize_batch([r.text for r in rows], state.featurizer, params)
     if new_class + 1 > state.d_k:
         state = scheduler.expand_label_space(state, new_class + 1)

@@ -18,14 +18,7 @@ import numpy as np
 
 from .corpus import InstructionRecord
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
-from .scheduler import (
-    DEFAULT_CHUNK_ROWS,
-    expand_label_space,
-    fit_base,
-    one_hot,
-    predict,
-    update,
-)
+from .scheduler import expand_label_space, fit_base, one_hot, predict, update
 
 __all__ = [
     "PhasePlan",
@@ -209,13 +202,12 @@ def _prepare(
             f"plan does not cover the corpus (classes missing from plan: {missing}, "
             f"planned but absent: {extra})"
         )
-    seed = config.seed if expansion_seed is None else expansion_seed
-    params = ExpansionParams.create(seed, config.d_f, config.d_e)
+    params = ExpansionParams.for_config(config, expansion_seed)
     features = featurize_batch([r.text for r in records], config, params)
     splits = _assign_splits(records, plan)
     train_idx, test_idx = _index_by_class(records, splits, plan)
     labels = np.array([r.task_id for r in records], dtype=np.int64)
-    return records, seed, features, labels, train_idx, test_idx
+    return records, params.seed, features, labels, train_idx, test_idx
 
 
 def _phases(plan: PhasePlan) -> list[tuple[str, list[int]]]:
@@ -283,7 +275,6 @@ def run_protocol(
     *,
     gamma: float = 1.0,
     expansion_seed: int | None = None,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
 ) -> EvalReport:
     """Run the replay-free protocol: joint base fit, then one update per class.
 
@@ -318,12 +309,7 @@ def run_protocol(
         else:
             if width > state.d_k:
                 state = expand_label_space(state, width)
-            state = update(
-                state,
-                features[rows],
-                one_hot(labels[rows], state.d_k),
-                chunk_rows=chunk_rows,
-            )
+            state = update(state, features[rows], one_hot(labels[rows], state.d_k))
         reads[rows] += 1
         seen.extend(classes)
 

@@ -149,6 +149,17 @@ class ExpansionParams:
         projection = rng.standard_normal((d_f, d_e)) / math.sqrt(d_f)
         return cls(projection=projection, seed=seed)
 
+    @classmethod
+    def for_config(
+        cls, config: FeaturizerConfig, seed: int | None = None
+    ) -> "ExpansionParams":
+        """The projection a featurizer config expands with.
+
+        ``seed`` is a state's ``expansion_seed``; when it is None the
+        config's own seed is used.
+        """
+        return cls.create(config.seed if seed is None else seed, config.d_f, config.d_e)
+
     @property
     def d_f(self) -> int:
         return self.projection.shape[0]
@@ -227,9 +238,8 @@ def _check_pipeline(config: FeaturizerConfig, params: ExpansionParams) -> None:
 def featurize_one(
     text: str, config: FeaturizerConfig, params: ExpansionParams
 ) -> np.ndarray:
-    """Full pipeline for one instruction: tokenize, embed, pool, expand."""
-    _check_pipeline(config, params)
-    return expand(mean_pool(embed_sequence(tokenize(text, config), config)), params)
+    """Full pipeline for one instruction; row 0 of :func:`featurize_batch`."""
+    return featurize_batch([text], config, params)[0]
 
 
 def featurize_batch(

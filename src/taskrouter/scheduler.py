@@ -15,7 +15,9 @@ Numerical conventions, all load-bearing for the equivalence guarantees:
 * the inner (I + F R Fᵀ) system is solved through a Cholesky factorisation,
   and batches wider than ``chunk_rows`` are absorbed as successive
   sub-updates, which is exact up to rounding;
-* R is re-symmetrised after every update so drift cannot accumulate.
+* every change to R is a product Cᵀ C, which BLAS forms from one triangle,
+  so R stays exactly symmetric; symmetry is checked only in
+  :func:`load_state`, where R comes from outside the program.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, solve_triangular
 
 from .features import FeaturizerConfig
 
@@ -50,7 +52,7 @@ __all__ = [
 STATE_VERSION = 1
 DEFAULT_CHUNK_ROWS = 512
 
-# Largest tolerated elementwise asymmetry in R, matching the state invariant.
+# Largest elementwise asymmetry tolerated in an R read from a state file.
 _SYMMETRY_TOL = 1e-9
 
 
@@ -92,20 +94,10 @@ class SchedulerState:
         for name, arr in (("R", self.R), ("Q", self.Q), ("W", self.W)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
-        if _asymmetry(self.R) > _SYMMETRY_TOL:
-            raise ValueError("R is not symmetric")
         if self.tasks_seen < 0:
             raise ValueError("tasks_seen must be non-negative")
         if self.featurizer is not None and self.featurizer.d_e != self.d_e:
             raise ValueError("featurizer d_e disagrees with the state's d_e")
-
-
-def _asymmetry(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix - matrix.T).max()) if matrix.size else 0.0
-
-
-def _symmetrize(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.T) / 2.0
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -201,10 +193,12 @@ def fit_base(
     d_e = feats.shape[1]
     gram = feats.T @ feats + gamma * np.eye(d_e)
     try:
-        factor = cho_factor(gram, lower=True)
+        lower, _ = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"regularised Gram matrix is not factorisable: {exc}") from exc
-    r = _symmetrize(cho_solve(factor, np.eye(d_e)))
+    # gram = L Lᵀ, so R = gram⁻¹ = Cᵀ C with C = L⁻¹.
+    c = solve_triangular(lower, np.eye(d_e), lower=True)
+    r = c.T @ c
     q = feats.T @ lab
     w = r @ q
     _freeze(r, q, w)
@@ -251,20 +245,26 @@ def update(
     if lab.shape[1] < state.d_k:
         lab = np.hstack([lab, np.zeros((lab.shape[0], state.d_k - lab.shape[1]))])
 
-    r = state.R.copy()
+    r = state.R
     for start in range(0, feats.shape[0], chunk_rows):
         chunk = feats[start : start + chunk_rows]
         b = chunk @ r
-        inner = np.eye(chunk.shape[0]) + _symmetrize(b @ chunk.T)
+        # cho_factor reads only the lower triangle of the inner system.
+        inner = np.eye(chunk.shape[0]) + b @ chunk.T
         try:
-            factor = cho_factor(inner, lower=True)
+            lower, _ = cho_factor(inner, lower=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "inner update system is numerically singular; "
                 "the feature batch is pathological"
             ) from exc
-        r -= b.T @ cho_solve(factor, b)
-        r = _symmetrize(r)
+        # inner = L Lᵀ, so Bᵀ inner⁻¹ B = Cᵀ C with C = L⁻¹ B.
+        c = solve_triangular(lower, b, lower=True)
+        # Subtracting into the product's buffer keeps one d_e x d_e allocation
+        # per chunk; a second one let the allocator return heap memory and
+        # fault it back in on some updates and not others.
+        downdate = c.T @ c
+        r = np.subtract(r, downdate, out=downdate)
 
     q = state.Q + feats.T @ lab
     w = r @ q
@@ -386,9 +386,10 @@ def load_state(source: str | Path) -> SchedulerState:
         raise StateFormatError(f"Q has shape {q.shape}, expected ({d_e}, {d_k})")
     if not np.isfinite(r).all() or not np.isfinite(q).all():
         raise StateFormatError("R/Q contain non-finite values")
-    if _asymmetry(r) > _SYMMETRY_TOL:
+    asymmetry = float(np.abs(r - r.T).max())
+    if asymmetry > _SYMMETRY_TOL:
         raise StateFormatError(
-            f"R violates the symmetry invariant (asymmetry {_asymmetry(r):.3e})"
+            f"R violates the symmetry invariant (asymmetry {asymmetry:.3e})"
         )
     raw_feat = _require(doc, "featurizer")
     featurizer = None

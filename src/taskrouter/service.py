@@ -64,12 +64,7 @@ class Router:
             raise ValueError("state has no trained classes; train it first")
         self.state = state
         self.registry = registry if registry is not None else ExecutorRegistry()
-        seed = state.expansion_seed
-        if seed is None:
-            seed = state.featurizer.seed
-        self.params = ExpansionParams.create(
-            seed, state.featurizer.d_f, state.featurizer.d_e
-        )
+        self.params = ExpansionParams.for_config(state.featurizer, state.expansion_seed)
 
     @classmethod
     def from_files(

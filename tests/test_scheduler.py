@@ -196,6 +196,42 @@ def test_updates_preserve_spd_and_w_consistency():
         assert np.abs(state.W - state.R @ state.Q).max() <= 1e-10
 
 
+def test_r_is_exactly_symmetric_over_a_long_horizon():
+    # fit_base and update change R only by products Cᵀ C, which numpy hands
+    # to BLAS syrk; syrk fills both triangles from one, so R == Rᵀ bit for bit
+    # and nothing downstream re-symmetrises or re-checks it.
+    rng = np.random.default_rng(17)
+    d_e, d_k, gamma = 16, 4, 0.5
+    feats, labels = _random_batch(rng, 40, d_e, d_k)
+    state = fit_base(feats, labels, gamma)
+    assert np.array_equal(state.R, state.R.T)
+    feature_batches, label_batches = [feats], [labels]
+
+    def absorb(feats, labels, **kwargs):
+        nonlocal state
+        state = update(state, feats, labels, **kwargs)
+        assert np.array_equal(state.R, state.R.T)
+        feature_batches.append(feats)
+        label_batches.append(labels)
+
+    anchor = rng.standard_normal(d_e)
+    for i in range(2000):
+        if i % 4 == 0:
+            row = rng.standard_normal((1, d_e))
+        elif i % 4 == 1:
+            row = feature_batches[-1].copy()  # duplicate of the previous row
+        else:
+            row = anchor + 1e-7 * rng.standard_normal((1, d_e))  # near-collinear
+        absorb(row, one_hot(rng.integers(0, d_k, 1), d_k))
+    for chunk_rows in (1, 3, 64):
+        feats, labels = _random_batch(rng, 20, d_e, d_k)
+        feats[7] = feats[6]
+        absorb(feats, labels, chunk_rows=chunk_rows)
+
+    want = ridge_weights(feature_batches, label_batches, gamma)
+    assert np.abs(state.W - want).max() <= 1e-8
+
+
 # -- expand_label_space ------------------------------------------------------
 
 
