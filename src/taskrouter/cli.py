@@ -17,6 +17,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import scheduler
+from .atomic import write_atomic
 from .evaluation import PhasePlan, baseline_sequential, run_protocol
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
 from .service import Router, parse_endpoint, serve_stdio, serve_tcp
@@ -253,9 +254,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         tables.append("Sequential gradient baseline\n" + base_report.to_table())
 
     report_out = Path(args.report_out)
-    report_out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_atomic(report_out, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
     table_text = "\n\n".join(tables) + "\n"
-    _table_path(report_out).write_text(table_text, encoding="utf-8")
+    write_atomic(_table_path(report_out), table_text.encode("utf-8"))
     print(table_text, end="")
     return 0
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
+
 __all__ = [
     "InstructionRecord",
     "ClassTheme",
@@ -237,7 +239,7 @@ def write_corpus(
                 {"text": record.text, "task_id": record.task_id, "split": record.split}
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_corpus(source: str | Path) -> list[InstructionRecord]:

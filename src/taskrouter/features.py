@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -84,16 +84,22 @@ class FeaturizerConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeaturizerConfig":
+        """Parse a config without coercion: no string for a bool, no 1.9 for 1."""
         try:
-            return cls(
-                seed=int(doc["seed"]),
-                d_f=int(doc["d_f"]),
-                d_e=int(doc["d_e"]),
-                vocab_buckets=int(doc["vocab_buckets"]),
-                lowercase=bool(doc["lowercase"]),
-            )
+            values = {field.name: doc[field.name] for field in fields(cls)}
         except KeyError as exc:
             raise ValueError(f"featurizer config is missing field {exc}") from exc
+        for name, value in values.items():
+            if name == "lowercase":
+                if not isinstance(value, bool):
+                    raise ValueError(
+                        f"featurizer field 'lowercase' must be a bool, got {value!r}"
+                    )
+            elif isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"featurizer field {name!r} must be an integer, got {value!r}"
+                )
+        return cls(**values)
 
 
 @dataclass(frozen=True)

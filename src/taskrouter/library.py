@@ -16,6 +16,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .atomic import write_atomic
+
 __all__ = [
     "ExecutorSpec",
     "Observation",
@@ -169,7 +171,7 @@ def execute(spec: ExecutorSpec, observation: Observation) -> ActionChunk:
 
 def save_manifest(registry: ExecutorRegistry, destination: str | Path) -> None:
     text = json.dumps(registry.to_manifest(), indent=2)
-    Path(destination).write_text(text + "\n", encoding="utf-8")
+    write_atomic(destination, (text + "\n").encode("utf-8"))
 
 
 def load_manifest(source: str | Path) -> ExecutorRegistry:

@@ -13,6 +13,7 @@ import json
 import socketserver
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import library
 from .features import ExpansionParams, featurize_one
 from .library import ExecutorRegistry, Observation
-from .scheduler import SchedulerState, load_state, predict_proba
+from .scheduler import SchedulerState, load_state, payload_sha256, predict_proba
 
 __all__ = ["RouteResult", "Router", "serve_stdio", "serve_tcp", "parse_endpoint"]
 
@@ -99,11 +100,17 @@ class Router:
             latency_micros=latency,
         )
 
+    @cached_property
+    def state_sha256(self) -> str:
+        """Fingerprint of the served state: the ``payload_sha256`` its file holds."""
+        return payload_sha256(self.state)
+
     def stats(self) -> dict:
         return {
             "d_K": self.state.d_k,
             "tasks_seen": self.state.tasks_seen,
             "gamma": self.state.gamma,
+            "state_sha256": self.state_sha256,
         }
 
     def handle_request_line(self, line: str) -> dict:

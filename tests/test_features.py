@@ -51,6 +51,18 @@ def test_config_dict_round_trip():
     assert FeaturizerConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_from_dict_rejects_string_for_bool():
+    doc = dict(FeaturizerConfig().to_dict(), lowercase="false")
+    with pytest.raises(ValueError, match="lowercase"):
+        FeaturizerConfig.from_dict(doc)
+
+
+def test_config_from_dict_rejects_fractional_integer():
+    doc = dict(FeaturizerConfig().to_dict(), d_f=1.9)
+    with pytest.raises(ValueError, match="d_f"):
+        FeaturizerConfig.from_dict(doc)
+
+
 # -- tokenize -------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from oracle import ridge_weights
 from taskrouter.features import FeaturizerConfig
 from taskrouter.scheduler import (
+    HEADER_LIMIT,
     NumericalError,
     SchedulerState,
     StateFormatError,
@@ -376,27 +379,51 @@ def test_load_untrained_state_document(tmp_path):
     assert np.array_equal(loaded.R, np.eye(3) / 2.0)
 
 
-def test_load_rejects_asymmetric_r(tmp_path):
-    import json
+def _split_state(path):
+    """A state file's header (parsed) and payload bytes."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    return json.loads(line), payload
 
+
+def _write_state(path, header, payload, *, rehash=True):
+    if rehash:
+        header = dict(header, payload_sha256=hashlib.sha256(payload).hexdigest())
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+def test_load_rejects_asymmetric_r(tmp_path):
     state = _trained_state()
     path = tmp_path / "state.json"
     save_state(state, path)
-    doc = json.loads(path.read_text())
-    doc["R"][0][1] += 1e-3
-    path.write_text(json.dumps(doc))
+    header, payload = _split_state(path)
+    floats = np.frombuffer(payload, dtype="<f8").copy()
+    floats[1] += 1e-3  # R[0, 1]
+    _write_state(path, header, floats.tobytes())
+    with pytest.raises(StateFormatError, match="symmetry"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("i, j", [(0, 129), (129, 0), (70, 5), (128, 129)])
+def test_load_finds_asymmetry_anywhere_in_r(tmp_path, i, j):
+    # d_e=130 spans three tiles of the symmetry check, the last one partial.
+    rng = np.random.default_rng(12)
+    feats, labels = _random_batch(rng, 40, 130, 2)
+    path = tmp_path / "state.json"
+    save_state(fit_base(feats, labels, gamma=0.7), path)
+    header, payload = _split_state(path)
+    floats = np.frombuffer(payload, dtype="<f8").copy()
+    floats[i * 130 + j] += 1e-6
+    _write_state(path, header, floats.tobytes())
     with pytest.raises(StateFormatError, match="symmetry"):
         load_state(path)
 
 
 def test_load_rejects_version_mismatch(tmp_path):
-    import json
-
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
-    doc = json.loads(path.read_text())
-    doc["version"] = 99
-    path.write_text(json.dumps(doc))
+    header, payload = _split_state(path)
+    header["version"] = 99
+    _write_state(path, header, payload)
     with pytest.raises(StateFormatError, match="version"):
         load_state(path)
 
@@ -404,20 +431,118 @@ def test_load_rejects_version_mismatch(tmp_path):
 def test_load_rejects_truncated_document(tmp_path):
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
-    path.write_text(path.read_text()[:-40])
+    path.write_bytes(path.read_bytes()[:-40])
     with pytest.raises(StateFormatError):
         load_state(path)
 
 
 def test_load_rejects_missing_keys(tmp_path):
-    import json
-
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
-    doc = json.loads(path.read_text())
-    del doc["Q"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(StateFormatError, match="missing key"):
+    header, payload = _split_state(path)
+    for key in header:
+        _write_state(path, {k: v for k, v in header.items() if k != key}, payload,
+                     rehash=False)
+        with pytest.raises(StateFormatError, match="missing key"):
+            load_state(path)
+
+
+def test_state_file_is_header_line_then_raw_r_and_q(tmp_path):
+    state = _trained_state()
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    header, payload = _split_state(path)
+    assert header == {
+        "version": 2, "d_e": 12, "d_K": 3, "gamma": 0.7, "tasks_seen": 1,
+        "featurizer": state.featurizer.to_dict(), "expansion_seed": 4,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    assert payload == state.R.astype("<f8").tobytes() + state.Q.astype("<f8").tobytes()
+
+
+def test_load_rejects_payload_sha256_mismatch(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    flipped = bytearray(payload)
+    flipped[-1] ^= 1  # lowest mantissa bit of Q's last entry
+    _write_state(path, header, bytes(flipped), rehash=False)
+    with pytest.raises(StateFormatError, match="sha256"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("cut", [
+    pytest.param(lambda payload: payload[:-8], id="short-by-one-float"),
+    pytest.param(lambda payload: payload + b"\0", id="one-extra-byte"),
+])
+def test_load_rejects_wrong_payload_length(tmp_path, cut):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    _write_state(path, header, cut(payload))
+    with pytest.raises(StateFormatError, match="payload is .* bytes, expected"):
+        load_state(path)
+
+
+def test_load_rejects_header_longer_than_the_bound(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    header["padding"] = "x" * HEADER_LIMIT
+    _write_state(path, header, payload)
+    with pytest.raises(StateFormatError, match=f"at most {HEADER_LIMIT} bytes"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("d_e", [12, 96])
+def test_load_rejects_version_1_json_file(tmp_path, d_e):
+    # At d_e=96 the old one-line document is longer than the header bound.
+    rng = np.random.default_rng(5)
+    feats, labels = _random_batch(rng, 40, d_e, 3)
+    state = fit_base(feats, labels, gamma=0.7)
+    document = {
+        "version": 1, "d_e": state.d_e, "d_K": state.d_k, "gamma": state.gamma,
+        "tasks_seen": state.tasks_seen, "featurizer": None, "expansion_seed": None,
+        "R": state.R.tolist(), "Q": state.Q.tolist(),
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(document, separators=(",", ":")) + "\n")
+    assert (path.stat().st_size > HEADER_LIMIT) == (d_e == 96)
+    with pytest.raises(StateFormatError, match="version"):
+        load_state(path)
+
+
+def test_loaded_arrays_are_contiguous_aligned_and_read_only(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    loaded = load_state(path)
+    for arr in (loaded.R, loaded.Q, loaded.W):
+        assert arr.flags.c_contiguous and arr.flags.aligned
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("key", ["d_e", "d_K", "tasks_seen", "expansion_seed"])
+def test_load_rejects_bool_for_integer_header_field(tmp_path, key):
+    # Every one of these fields is 1, so true would pass as an equal value.
+    state = expand_label_space(init(1, 1.0, expansion_seed=1), 1)
+    state = update(state, np.ones((1, 1)), np.ones((1, 1)))
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    header, payload = _split_state(path)
+    assert header[key] == 1
+    header[key] = True
+    _write_state(path, header, payload)
+    with pytest.raises(StateFormatError, match=key):
+        load_state(path)
+
+
+def test_load_rejects_string_bool_in_featurizer(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    header["featurizer"]["lowercase"] = "false"
+    _write_state(path, header, payload)
+    with pytest.raises(StateFormatError, match="lowercase"):
         load_state(path)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import subprocess
@@ -33,6 +34,10 @@ def served_files(tmp_path_factory):
     return {"corpus": corpus, "state": state, "registry": manifest}
 
 
+def _header_sha256(state_path):
+    return json.loads(state_path.read_bytes().partition(b"\n")[0])["payload_sha256"]
+
+
 def _requests():
     return [
         json.dumps({"op": "route", "text": "please pick up the ripe banana"}),
@@ -54,8 +59,29 @@ def test_stdio_pipelined_requests_answered_in_order(served_files):
     assert len(lines) == 3
     first, stats, third = (json.loads(line) for line in lines)
     assert first["task_id"] == 0 and first["executor_name"] == "exec-0"
-    assert stats == {"d_K": 3, "tasks_seen": 1, "gamma": 1.0}
+    assert stats == {"d_K": 3, "tasks_seen": 1, "gamma": 1.0,
+                     "state_sha256": _header_sha256(served_files["state"])}
     assert third["task_id"] == 1
+
+
+def test_stats_reports_the_digest_in_the_served_state_header(served_files, tmp_path):
+    other = tmp_path / "other.json"
+    assert main(["train-base", "--corpus", str(served_files["corpus"]), "--classes", "0,1",
+                 "--state-out", str(other), "--d-e", "256", "--d-f", "32",
+                 "--seed", "3"]) == 0
+    digests = []
+    for state in (served_files["state"], other):
+        proc = subprocess.run(
+            [sys.executable, "-m", "taskrouter", "serve", "--state", str(state)],
+            input=json.dumps({"op": "stats"}) + "\n",
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        served = json.loads(proc.stdout)["state_sha256"]
+        payload = state.read_bytes().partition(b"\n")[2]
+        assert served == _header_sha256(state) == hashlib.sha256(payload).hexdigest()
+        digests.append(served)
+    assert digests[0] != digests[1]
 
 
 def test_stdio_survives_garbage_lines(served_files):
