@@ -17,16 +17,13 @@ from .evaluation import (
     run_protocol,
 )
 from .features import (
-    EmbeddingRecord,
     ExpansionParams,
     FeaturizerConfig,
-    SequenceFeatures,
     embed_sequence,
     expand,
     featurize_batch,
     featurize_one,
     mean_pool,
-    read_embedding_records,
     tokenize,
 )
 from .library import (
@@ -59,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ActionChunk",
-    "EmbeddingRecord",
     "EvalReport",
     "ExecutorRegistry",
     "ExecutorSpec",
@@ -72,7 +68,6 @@ __all__ = [
     "RouteResult",
     "Router",
     "SchedulerState",
-    "SequenceFeatures",
     "StateFormatError",
     "average_accuracy",
     "baseline_sequential",
@@ -93,7 +88,6 @@ __all__ = [
     "predict",
     "predict_proba",
     "read_corpus",
-    "read_embedding_records",
     "run_protocol",
     "save_manifest",
     "save_state",

@@ -217,7 +217,8 @@ def _phases(plan: PhasePlan) -> list[tuple[str, list[int]]]:
 
 
 def _phase_metrics(
-    predict_rows: Callable[[np.ndarray], np.ndarray],
+    predictor: Callable[[np.ndarray], np.ndarray],
+    features: np.ndarray,
     labels: np.ndarray,
     test_idx: dict[int, np.ndarray],
     seen_classes: list[int],
@@ -225,37 +226,69 @@ def _phase_metrics(
     d_k: int,
 ) -> tuple[float, float, np.ndarray]:
     cum_rows = np.concatenate([test_idx[c] for c in sorted(seen_classes)])
-    preds = np.asarray(predict_rows(cum_rows))
+    preds = np.asarray(predictor(features[cum_rows]))
     truth = labels[cum_rows]
     accuracy = 100.0 * float(np.mean(preds == truth))
-    t1_preds = np.asarray(predict_rows(task1_rows))
+    t1_preds = np.asarray(predictor(features[task1_rows]))
     task1_acc = 100.0 * float(np.mean(t1_preds == labels[task1_rows]))
     confusion = np.zeros((d_k, d_k), dtype=np.int64)
     np.add.at(confusion, (truth, preds), 1)
     return accuracy, task1_acc, confusion
 
 
-def _finish_report(
+def _run_phases(
     method: str,
+    corpus: Sequence[InstructionRecord],
     plan: PhasePlan,
-    phase_names: list[str],
-    classes_per_phase: list[list[int]],
-    accuracies: list[float],
-    task1: list[float],
-    confusions: list[np.ndarray],
-    reads: np.ndarray,
-    train_idx: dict[int, np.ndarray],
+    config: FeaturizerConfig,
+    expansion_seed: int | None,
+    train: Callable[[np.ndarray, np.ndarray, int], Callable[[np.ndarray], np.ndarray]],
+    reads_per_phase: int = 1,
 ) -> EvalReport:
+    """The phase loop both methods share; ``train`` is the method's one training step.
+
+    ``train(x, targets, expansion_seed)`` learns from one phase's rows and
+    one-hot targets, which widen as classes arrive, and returns a predictor
+    from feature rows to class ids; the loop scores it before the next phase
+    trains, on the cumulative test set and on the base classes' test set.
+    Each phase counts ``reads_per_phase`` reads of its training rows.
+    """
+    records, seed, features, labels, train_idx, test_idx = _prepare(
+        corpus, plan, config, expansion_seed
+    )
+    reads = np.zeros(len(records), dtype=np.int64)
+    task1_rows = np.concatenate([test_idx[c] for c in sorted(plan.base_classes)])
+    phase_names: list[str] = []
+    classes_per_phase: list[list[int]] = []
+    accuracies: list[float] = []
+    task1: list[float] = []
+    confusions: list[np.ndarray] = []
+    width = 0
+    seen: list[int] = []
+    for name, classes in _phases(plan):
+        rows = np.concatenate([train_idx[c] for c in classes])
+        width = max(width, max(classes) + 1)
+        predictor = train(features[rows], one_hot(labels[rows], width), seed)
+        reads[rows] += reads_per_phase
+        seen.extend(classes)
+        acc, t1, conf = _phase_metrics(
+            predictor, features, labels, test_idx, seen, task1_rows, width
+        )
+        phase_names.append(name)
+        classes_per_phase.append(list(classes))
+        accuracies.append(acc)
+        task1.append(t1)
+        confusions.append(conf)
+
     train_rows = np.concatenate([train_idx[c] for c in plan.all_classes])
     per_row = reads[train_rows]
-    forgetting = [forgetting_rate(task1[0], t) for t in task1]
     return EvalReport(
         method=method,
         phase_names=phase_names,
         classes_per_phase=classes_per_phase,
         per_phase_accuracy=accuracies,
         task1_accuracy=task1,
-        per_phase_forgetting=forgetting,
+        per_phase_forgetting=[forgetting_rate(task1[0], t) for t in task1],
         average_accuracy=average_accuracy(accuracies),
         confusion=confusions,
         training_reads={
@@ -281,61 +314,24 @@ def run_protocol(
     Every training row enters the router exactly once across the whole run;
     the function raises if its own instrumentation ever observes a re-read.
     """
-    records, seed, features, labels, train_idx, test_idx = _prepare(
-        corpus, plan, config, expansion_seed
-    )
-    reads = np.zeros(len(records), dtype=np.int64)
-    task1_rows = np.concatenate([test_idx[c] for c in sorted(plan.base_classes)])
-
-    phase_names: list[str] = []
-    classes_per_phase: list[list[int]] = []
-    accuracies: list[float] = []
-    task1: list[float] = []
-    confusions: list[np.ndarray] = []
-
     state = None
-    seen: list[int] = []
-    for name, classes in _phases(plan):
-        rows = np.concatenate([train_idx[c] for c in classes])
-        width = max(classes) + 1
-        if name == "base":
-            state = fit_base(
-                features[rows],
-                one_hot(labels[rows], width),
-                gamma,
-                featurizer=config,
-                expansion_seed=seed,
-            )
+
+    def train(x: np.ndarray, targets: np.ndarray, seed: int):
+        nonlocal state
+        if state is None:
+            state = fit_base(x, targets, gamma, featurizer=config, expansion_seed=seed)
         else:
-            if width > state.d_k:
-                state = expand_label_space(state, width)
-            state = update(state, features[rows], one_hot(labels[rows], state.d_k))
-        reads[rows] += 1
-        seen.extend(classes)
+            if targets.shape[1] > state.d_k:
+                state = expand_label_space(state, targets.shape[1])
+            state = update(state, x, targets)
+        return lambda f: predict(state, f)
 
-        frozen = state
-        acc, t1, conf = _phase_metrics(
-            lambda r: predict(frozen, features[r]),
-            labels,
-            test_idx,
-            seen,
-            task1_rows,
-            state.d_k,
-        )
-        phase_names.append(name)
-        classes_per_phase.append(list(classes))
-        accuracies.append(acc)
-        task1.append(t1)
-        confusions.append(conf)
-
-    train_rows = np.concatenate([train_idx[c] for c in plan.all_classes])
-    if not (reads[train_rows] == 1).all() or reads.sum() != train_rows.size:
+    report = _run_phases("router", corpus, plan, config, expansion_seed, train)
+    reads = report.training_reads
+    if (reads["min_reads"], reads["max_reads"]) != (1, 1) or (
+        report.read_counts.sum() != reads["rows"]
+    ):
         raise RuntimeError("replay detected: a training row was read more than once")
-
-    report = _finish_report(
-        "router", plan, phase_names, classes_per_phase,
-        accuracies, task1, confusions, reads, train_idx,
-    )
     report.final_state = state
     return report
 
@@ -354,58 +350,25 @@ def baseline_sequential(
     Each phase runs plain full-batch gradient descent on that phase's rows
     only, with no replay and nothing anchoring the old weights, so earlier
     classes degrade as later ones arrive. Evaluation mirrors
-    :func:`run_protocol` exactly.
+    :func:`run_protocol` exactly, through the same phase loop.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    records, _, features, labels, train_idx, test_idx = _prepare(
-        corpus, plan, config, expansion_seed
-    )
-    reads = np.zeros(len(records), dtype=np.int64)
-    task1_rows = np.concatenate([test_idx[c] for c in sorted(plan.base_classes)])
-
-    phase_names: list[str] = []
-    classes_per_phase: list[list[int]] = []
-    accuracies: list[float] = []
-    task1: list[float] = []
-    confusions: list[np.ndarray] = []
-
     weights = np.zeros((config.d_e, 0))
-    seen: list[int] = []
-    for name, classes in _phases(plan):
-        width = max(max(classes) + 1, weights.shape[1])
-        if width > weights.shape[1]:
-            weights = np.hstack(
-                [weights, np.zeros((config.d_e, width - weights.shape[1]))]
-            )
-        rows = np.concatenate([train_idx[c] for c in classes])
-        feats = features[rows]
-        targets = one_hot(labels[rows], width)
+
+    def train(x: np.ndarray, targets: np.ndarray, _seed: int):
+        nonlocal weights
+        grown = targets.shape[1] - weights.shape[1]
+        if grown > 0:
+            weights = np.hstack([weights, np.zeros((config.d_e, grown))])
         for _ in range(steps):
-            probs = _softmax(feats @ weights)
-            grad = feats.T @ (probs - targets) / rows.size
+            probs = _softmax(x @ weights)
+            grad = x.T @ (probs - targets) / x.shape[0]
             weights -= learning_rate * grad
-        reads[rows] += steps
-        seen.extend(classes)
+        return lambda f: np.argmax(f @ weights, axis=1)
 
-        w_now = weights
-        acc, t1, conf = _phase_metrics(
-            lambda r: np.argmax(features[r] @ w_now, axis=1),
-            labels,
-            test_idx,
-            seen,
-            task1_rows,
-            width,
-        )
-        phase_names.append(name)
-        classes_per_phase.append(list(classes))
-        accuracies.append(acc)
-        task1.append(t1)
-        confusions.append(conf)
-
-    report = _finish_report(
-        "baseline", plan, phase_names, classes_per_phase,
-        accuracies, task1, confusions, reads, train_idx,
+    report = _run_phases(
+        "baseline", corpus, plan, config, expansion_seed, train, reads_per_phase=steps
     )
     report.final_weights = weights
     return report

@@ -7,38 +7,29 @@ and the configuration: identical inputs always produce bit-identical feature
 matrices. Pooled embeddings are widened by a frozen random projection
 followed by ReLU, which raises the linear separability of the classes the
 router has to tell apart.
-
-Users with a real encoder can skip the hashing stage entirely and feed
-per-instruction embedding matrices through :func:`read_embedding_records`;
-pooling and expansion are unchanged downstream.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "EMPTY_TOKEN",
     "FeaturizerConfig",
-    "SequenceFeatures",
     "ExpansionParams",
-    "EmbeddingRecord",
     "tokenize",
     "embed_sequence",
     "mean_pool",
     "expand",
     "featurize_one",
     "featurize_batch",
-    "read_embedding_records",
 ]
 
 # Sentinel token for instructions that contain no alphanumeric characters;
@@ -100,29 +91,6 @@ class FeaturizerConfig:
                     f"featurizer field {name!r} must be an integer, got {value!r}"
                 )
         return cls(**values)
-
-
-@dataclass(frozen=True)
-class SequenceFeatures:
-    """Per-token embedding rows for one instruction, shape (token_count, d_f)."""
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
-            raise ValueError("rows must be a 2-D matrix with at least one row")
-        if not np.isfinite(rows).all():
-            raise ValueError("rows must contain only finite values")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def token_count(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -206,8 +174,11 @@ def _bucket_embedding(bucket: int, d_f: int) -> np.ndarray:
     return vec
 
 
-def embed_sequence(tokens: Sequence[str], config: FeaturizerConfig) -> SequenceFeatures:
-    """Hash each token into a bucket and look up that bucket's fixed embedding."""
+def embed_sequence(tokens: Sequence[str], config: FeaturizerConfig) -> np.ndarray:
+    """Hash each token into a bucket and look up that bucket's fixed embedding.
+
+    Row i of the ``(len(tokens), d_f)`` result embeds ``tokens[i]``.
+    """
     if not tokens:
         raise ValueError("token sequence must be non-empty")
     rows = np.empty((len(tokens), config.d_f), dtype=np.float64)
@@ -215,12 +186,12 @@ def embed_sequence(tokens: Sequence[str], config: FeaturizerConfig) -> SequenceF
         rows[i] = _bucket_embedding(
             _bucket(token, config.seed, config.vocab_buckets), config.d_f
         )
-    return SequenceFeatures(rows=rows)
+    return rows
 
 
-def mean_pool(seq: SequenceFeatures) -> np.ndarray:
-    """Average over the token axis, collapsing variable-length sequences."""
-    return seq.rows.mean(axis=0)
+def mean_pool(rows: np.ndarray) -> np.ndarray:
+    """Average a ``(tokens, d_f)`` matrix over its token axis."""
+    return rows.mean(axis=0)
 
 
 def expand(pooled: np.ndarray, params: ExpansionParams) -> np.ndarray:
@@ -261,60 +232,3 @@ def featurize_batch(
             mean_pool(embed_sequence(tokenize(text, config), config)), params
         )
     return out
-
-
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    """Externally supplied per-instruction features plus their task label."""
-
-    task_id: int
-    features: SequenceFeatures
-
-
-def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from handle
-    else:
-        yield from source
-
-
-def read_embedding_records(
-    source: str | Path | IO[str] | Iterable[str],
-) -> Iterator[EmbeddingRecord]:
-    """Parse newline-delimited ``{"features": [[...], ...], "task_id": int}`` records.
-
-    Accepts a path, an open text stream, or any iterable of lines; blank lines
-    are skipped. Ragged rows, non-finite values, or a missing task id reject
-    the record, naming its 0-based index.
-    """
-    index = 0
-    for line in _iter_lines(source):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"record {index}: invalid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ValueError(f"record {index}: expected a JSON object")
-        if "task_id" not in doc:
-            raise ValueError(f"record {index}: missing task_id")
-        task_id = doc["task_id"]
-        if not isinstance(task_id, int) or isinstance(task_id, bool):
-            raise ValueError(f"record {index}: task_id must be an integer")
-        raw = doc.get("features")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError(f"record {index}: features must be a non-empty list")
-        widths = {len(row) if isinstance(row, list) else -1 for row in raw}
-        if len(widths) != 1 or -1 in widths or 0 in widths:
-            raise ValueError(f"record {index}: feature rows are ragged or empty")
-        try:
-            rows = np.array(raw, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"record {index}: non-numeric feature value") from exc
-        if not np.isfinite(rows).all():
-            raise ValueError(f"record {index}: non-finite feature value")
-        yield EmbeddingRecord(task_id=task_id, features=SequenceFeatures(rows=rows))
-        index += 1

@@ -62,17 +62,38 @@ class ExecutorSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExecutorSpec":
+        """Parse a spec without coercion: no 1.9 or true for an int, no list for a name."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"executor spec must be a JSON object, got {doc!r}")
         try:
-            return cls(
-                task_id=int(doc["task_id"]),
-                name=str(doc["name"]),
-                action_dim=int(doc["action_dim"]),
-                horizon=int(doc["horizon"]),
-                seed=int(doc.get("seed", 0)),
-                amplitude=float(doc.get("amplitude", 1.0)),
-            )
+            values = {
+                "task_id": doc["task_id"],
+                "name": doc["name"],
+                "action_dim": doc["action_dim"],
+                "horizon": doc["horizon"],
+                "seed": doc.get("seed", 0),
+                "amplitude": doc.get("amplitude", 1.0),
+            }
         except KeyError as exc:
             raise ValueError(f"executor spec is missing field {exc}") from exc
+        for name, value in values.items():
+            kind, described = _SPEC_FIELD_TYPES[name]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(
+                    f"executor field {name!r} must be {described}, got {value!r}"
+                )
+        values["amplitude"] = float(values["amplitude"])
+        return cls(**values)
+
+
+_SPEC_FIELD_TYPES = {
+    "task_id": (int, "an integer"),
+    "name": (str, "a string"),
+    "action_dim": (int, "an integer"),
+    "horizon": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "amplitude": ((int, float), "a number"),
+}
 
 
 @dataclass(frozen=True)
@@ -157,8 +178,6 @@ def execute(spec: ExecutorSpec, observation: Observation) -> ActionChunk:
     the observation is not ignored. The image digest is never interpreted.
     """
     prop = observation.proprioception
-    if not np.isfinite(prop).all():
-        raise ValueError("proprioception must be finite")
     rng = np.random.default_rng([spec.seed, spec.task_id])
     phases = rng.uniform(0.0, 2.0 * np.pi, spec.action_dim)
     freqs = rng.uniform(0.5, 2.5, spec.action_dim)

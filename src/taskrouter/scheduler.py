@@ -489,8 +489,6 @@ def load_state(source: str | Path) -> SchedulerState:
 
     if _digest(r, q) != sha256:
         raise StateFormatError("state payload does not match its payload_sha256")
-    if not np.isfinite(r).all() or not np.isfinite(q).all():
-        raise StateFormatError("R/Q contain non-finite values")
     asymmetry = _max_asymmetry(r)
     if asymmetry > _SYMMETRY_TOL:
         raise StateFormatError(

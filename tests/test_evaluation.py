@@ -165,6 +165,26 @@ def test_baseline_report_mirrors_protocol_shape(small_corpus, small_plan):
     assert len(report.per_phase_forgetting) == 3
 
 
+@pytest.mark.parametrize(
+    "plan",
+    [
+        PhasePlan(base_classes=(0, 1), incremental_classes=(2, 3)),
+        PhasePlan(base_classes=(3,), incremental_classes=(0, 2, 1), seed=5),
+    ],
+    ids=["in-order", "shuffled"],
+)
+def test_both_methods_score_the_same_rows(small_corpus, plan):
+    router = run_protocol(small_corpus, plan, SMALL_CFG)
+    baseline = baseline_sequential(small_corpus, plan, SMALL_CFG, steps=5)
+    assert router.phase_names == baseline.phase_names
+    assert router.classes_per_phase == baseline.classes_per_phase
+    assert len(router.confusion) == len(baseline.confusion) == len(router.phase_names)
+    for ours, theirs in zip(router.confusion, baseline.confusion):
+        assert ours.shape == theirs.shape
+        assert np.array_equal(ours.sum(axis=1), theirs.sum(axis=1))
+    assert router.training_reads["rows"] == baseline.training_reads["rows"]
+
+
 def test_baseline_forgets_more_than_router(small_corpus, small_plan):
     router = run_protocol(small_corpus, small_plan, SMALL_CFG)
     baseline = baseline_sequential(small_corpus, small_plan, SMALL_CFG)

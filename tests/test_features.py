@@ -1,9 +1,6 @@
-"""Feature pipeline: tokenizing, hashing embedder, pooling, expansion, ingestion."""
+"""Feature pipeline: tokenizing, hashing embedder, pooling, expansion."""
 
 from __future__ import annotations
-
-import io
-import json
 
 import numpy as np
 import pytest
@@ -12,16 +9,13 @@ from hypothesis import strategies as st
 
 from taskrouter.features import (
     EMPTY_TOKEN,
-    EmbeddingRecord,
     ExpansionParams,
     FeaturizerConfig,
-    SequenceFeatures,
     embed_sequence,
     expand,
     featurize_batch,
     featurize_one,
     mean_pool,
-    read_embedding_records,
     tokenize,
 )
 
@@ -96,14 +90,13 @@ def test_tokenize_total_and_stable(text):
 
 def test_embed_identical_tokens_share_rows():
     feats = embed_sequence(["cup", "lift", "cup"], CFG)
-    assert np.array_equal(feats.rows[0], feats.rows[2])
-    assert not np.array_equal(feats.rows[0], feats.rows[1])
+    assert np.array_equal(feats[0], feats[2])
+    assert not np.array_equal(feats[0], feats[1])
 
 
 def test_embed_shape_contract():
     feats = embed_sequence(["a", "b", "c", "d"], CFG)
-    assert feats.rows.shape == (4, 16)
-    assert feats.token_count == 4
+    assert feats.shape == (4, 16)
 
 
 def test_embed_rejects_empty_sequence():
@@ -115,15 +108,15 @@ def test_embed_row_norm_expectation_near_one():
     # Monte Carlo over the bucket-embedding generator: E[|row|^2] = 1.
     cfg = FeaturizerConfig(seed=3, d_f=64, d_e=128)
     tokens = [f"token{i}" for i in range(1000)]
-    rows = embed_sequence(tokens, cfg).rows
+    rows = embed_sequence(tokens, cfg)
     mean_sq_norm = float(np.mean(np.sum(rows * rows, axis=1)))
     assert 0.8 <= mean_sq_norm <= 1.2
 
 
 def test_embed_is_deterministic_across_calls():
     tokens = tokenize("route the quadruped to the charging dock", CFG)
-    a = embed_sequence(tokens, CFG).rows
-    b = embed_sequence(tokens, CFG).rows
+    a = embed_sequence(tokens, CFG)
+    b = embed_sequence(tokens, CFG)
     assert np.array_equal(a, b)
 
 
@@ -131,18 +124,18 @@ def test_embed_is_deterministic_across_calls():
 
 
 def test_mean_pool_arithmetic():
-    seq = SequenceFeatures(rows=np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(mean_pool(seq), np.array([2.0, 3.0]))
+    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(mean_pool(rows), np.array([2.0, 3.0]))
 
 
 def test_mean_pool_single_row_is_identity():
     row = np.array([[0.5, -1.5, 2.0]])
-    assert np.array_equal(mean_pool(SequenceFeatures(rows=row)), row[0])
+    assert np.array_equal(mean_pool(row), row[0])
 
 
 def test_mean_pool_constant_rows():
-    seq = SequenceFeatures(rows=np.tile([[1.0, -2.0]], (5, 1)))
-    assert np.array_equal(mean_pool(seq), np.array([1.0, -2.0]))
+    rows = np.tile([[1.0, -2.0]], (5, 1))
+    assert np.array_equal(mean_pool(rows), np.array([1.0, -2.0]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,10 +146,8 @@ def test_mean_pool_constant_rows():
 )
 def test_mean_pool_self_concatenation_invariant(n_rows, width, seed):
     rows = np.random.default_rng(seed).uniform(-10, 10, (n_rows, width))
-    doubled = SequenceFeatures(rows=np.vstack([rows, rows]))
-    np.testing.assert_allclose(
-        mean_pool(doubled), mean_pool(SequenceFeatures(rows=rows)), atol=1e-12
-    )
+    doubled = np.vstack([rows, rows])
+    np.testing.assert_allclose(mean_pool(doubled), mean_pool(rows), atol=1e-12)
 
 
 # -- expand ---------------------------------------------------------------
@@ -239,60 +230,3 @@ def test_featurize_batch_rejects_empty_input_and_bad_params():
     wrong = ExpansionParams.create(0, CFG.d_f + 1, CFG.d_e)
     with pytest.raises(ValueError):
         featurize_one("text", CFG, wrong)
-
-
-# -- external embedding ingestion -----------------------------------------
-
-
-def _record_line(features, task_id=1):
-    return json.dumps({"features": features, "task_id": task_id})
-
-
-def test_ingest_passes_through_shape():
-    line = _record_line(np.random.default_rng(0).uniform(size=(5, 64)).tolist(), 3)
-    (record,) = list(read_embedding_records([line]))
-    assert isinstance(record, EmbeddingRecord)
-    assert record.task_id == 3
-    assert record.features.rows.shape == (5, 64)
-
-
-def test_ingest_rejects_nan_naming_record():
-    lines = [
-        _record_line([[0.0, 1.0]], 0),
-        _record_line([[0.0, float("nan")]], 1),
-    ]
-    with pytest.raises(ValueError, match="record 1"):
-        list(read_embedding_records(lines))
-
-
-def test_ingest_rejects_empty_feature_list():
-    with pytest.raises(ValueError, match="record 0"):
-        list(read_embedding_records([_record_line([], 0)]))
-
-
-def test_ingest_rejects_ragged_rows():
-    with pytest.raises(ValueError, match="ragged"):
-        list(read_embedding_records([_record_line([[1.0, 2.0], [3.0]], 0)]))
-
-
-def test_ingest_rejects_missing_task_id():
-    with pytest.raises(ValueError, match="task_id"):
-        list(read_embedding_records([json.dumps({"features": [[1.0]]})]))
-
-
-def test_ingest_reads_files_and_streams(tmp_path):
-    lines = [_record_line([[1.0, 2.0]], 0), "", _record_line([[3.0, 4.0]], 1)]
-    path = tmp_path / "embeddings.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    from_path = list(read_embedding_records(path))
-    from_stream = list(read_embedding_records(io.StringIO("\n".join(lines))))
-    assert len(from_path) == len(from_stream) == 2
-    assert from_path[1].task_id == 1
-
-
-def test_ingested_features_pool_and_expand_downstream():
-    rows = np.random.default_rng(1).uniform(size=(4, 16)).tolist()
-    (record,) = list(read_embedding_records([_record_line(rows, 0)]))
-    params = ExpansionParams.create(0, 16, 48)
-    out = expand(mean_pool(record.features), params)
-    assert out.shape == (48,) and (out >= 0.0).all()

@@ -106,6 +106,15 @@ def test_non_finite_proprioception_rejected():
         Observation(proprioception=np.array([0.0, float("nan")]))
 
 
+def test_proprioception_mutated_to_nan_after_construction_is_refused():
+    # Observation keeps a view of the caller's array; the chunk check catches it.
+    values = np.array([0.1, -0.2, 0.3])
+    observation = Observation(proprioception=values)
+    values[1] = np.nan
+    with pytest.raises(ValueError, match="actions must be finite"):
+        execute(_spec(0), observation)
+
+
 def test_action_chunk_validation():
     with pytest.raises(ValueError):
         ActionChunk(actions=np.array([1.0, 2.0]))
@@ -138,3 +147,40 @@ def test_manifest_rejects_bad_documents(tmp_path):
     path.write_text('[{"task_id": 0}]')
     with pytest.raises(ValueError, match="missing field"):
         load_manifest(path)
+
+
+_GOOD_SPEC_DOC = {"task_id": 1, "name": "x", "action_dim": 2, "horizon": 3,
+                  "seed": 4, "amplitude": 0.5}
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("task_id", 1.9), ("task_id", True), ("task_id", "1"),
+        ("name", ["x"]), ("name", 3), ("name", None),
+        ("action_dim", True), ("action_dim", 2.0), ("action_dim", "2"),
+        ("horizon", "3"), ("horizon", 3.5), ("horizon", False),
+        ("seed", True), ("seed", 4.0), ("seed", "4"),
+        ("amplitude", True), ("amplitude", "0.5"), ("amplitude", None),
+    ],
+)
+def test_spec_from_dict_refuses_wrong_types(field, bad):
+    doc = dict(_GOOD_SPEC_DOC, **{field: bad})
+    with pytest.raises(ValueError, match=f"executor field '{field}'"):
+        ExecutorSpec.from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", [1, "task", None, [0, "x", 1, 1]])
+def test_spec_from_dict_refuses_a_non_object(entry):
+    with pytest.raises(ValueError, match="JSON object"):
+        ExecutorSpec.from_dict(entry)
+
+
+def test_spec_from_dict_accepts_exact_types_and_defaults():
+    spec = ExecutorSpec.from_dict(_GOOD_SPEC_DOC)
+    assert spec == ExecutorSpec(1, "x", 2, 3, seed=4, amplitude=0.5)
+    assert ExecutorSpec.from_dict(spec.to_dict()) == spec
+    minimal = ExecutorSpec.from_dict({"task_id": 0, "name": "y", "action_dim": 1,
+                                      "horizon": 1, "amplitude": 2})
+    assert (minimal.seed, minimal.amplitude) == (0, 2.0)
+    assert isinstance(minimal.amplitude, float)

@@ -403,6 +403,24 @@ def test_load_rejects_asymmetric_r(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize(
+    "index, value",
+    [(1, np.nan), (0, np.inf), (12 * 12 + 4, np.nan)],
+    ids=["nan-in-R", "inf-on-R-diagonal", "nan-in-Q"],
+)
+def test_load_rejects_non_finite_payload(tmp_path, index, value):
+    # The symmetry check passes all three (NaN compares false, inf - inf is
+    # NaN), so the state's own finiteness scan is what refuses them.
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    floats = np.frombuffer(payload, dtype="<f8").copy()
+    floats[index] = value
+    _write_state(path, header, floats.tobytes())
+    with pytest.raises(StateFormatError, match="non-finite"):
+        load_state(path)
+
+
 @pytest.mark.parametrize("i, j", [(0, 129), (129, 0), (70, 5), (128, 129)])
 def test_load_finds_asymmetry_anywhere_in_r(tmp_path, i, j):
     # d_e=130 spans three tiles of the symmetry check, the last one partial.
