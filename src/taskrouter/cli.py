@@ -184,7 +184,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_plan(path: str, default_seed: int) -> PhasePlan:
+def _load_plan(path: str) -> PhasePlan:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -193,27 +193,18 @@ def _load_plan(path: str, default_seed: int) -> PhasePlan:
         ) from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: plan must be a JSON object")
-    allowed = {"base_classes", "incremental_classes", "train_fraction", "seed"}
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(set(doc) - {"base_classes", "incremental_classes"})
     if unknown:
         raise ValueError(f"{path}: unknown plan field(s) {unknown}")
     if "base_classes" not in doc:
         raise ValueError(f"{path}: plan field 'base_classes' is required")
     for key in ("base_classes", "incremental_classes"):
-        value = doc.get(key, [])
-        if not isinstance(value, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        ):
-            raise ValueError(f"{path}: plan field {key!r} must be a list of integers")
-    return PhasePlan(
-        base_classes=tuple(doc["base_classes"]),
-        incremental_classes=tuple(doc.get("incremental_classes", [])),
-        train_fraction=float(doc.get("train_fraction", 0.8)),
-        seed=int(doc.get("seed", default_seed)),
-    )
+        if not isinstance(doc.get(key, []), list):
+            raise ValueError(f"{path}: plan field {key!r} must be a list")
+    return PhasePlan(**doc)
 
 
-def _default_plan(records, seed: int) -> PhasePlan:
+def _default_plan(records) -> PhasePlan:
     classes = sorted({r.task_id for r in records})
     if len(classes) < 2:
         raise ValueError("need at least 2 classes for the protocol")
@@ -221,7 +212,6 @@ def _default_plan(records, seed: int) -> PhasePlan:
     return PhasePlan(
         base_classes=tuple(classes[:half]),
         incremental_classes=tuple(classes[half:]),
-        seed=seed,
     )
 
 
@@ -234,11 +224,7 @@ def _table_path(report_out: Path) -> Path:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     records = corpus_mod.read_corpus(args.corpus)
-    plan = (
-        _load_plan(args.plan, args.seed)
-        if args.plan is not None
-        else _default_plan(records, args.seed)
-    )
+    plan = _load_plan(args.plan) if args.plan is not None else _default_plan(records)
     config = _featurizer_from(args)
     report = run_protocol(records, plan, config, gamma=args.gamma,
                           expansion_seed=args.seed)

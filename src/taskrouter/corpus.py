@@ -31,16 +31,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InstructionRecord:
-    """One labelled instruction; split is "train", "test", or None (unassigned)."""
+    """One labelled instruction; split is "train" or "test"."""
 
     text: str
     task_id: int
-    split: str | None = "train"
+    split: str = "train"
 
     def __post_init__(self) -> None:
         if self.task_id < 0:
             raise ValueError("task_id must be non-negative")
-        if self.split not in ("train", "test", None):
+        if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
 
 
@@ -230,15 +230,10 @@ def write_corpus(
     path = Path(destination)
     if path.exists() and not force:
         raise FileExistsError(f"{path} already exists (use force to overwrite)")
-    lines = []
-    for record in records:
-        if record.split is None:
-            raise ValueError("cannot write a record without a split assignment")
-        lines.append(
-            json.dumps(
-                {"text": record.text, "task_id": record.task_id, "split": record.split}
-            )
-        )
+    lines = [
+        json.dumps({"text": r.text, "task_id": r.task_id, "split": r.split})
+        for r in records
+    ]
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -36,14 +36,14 @@ class PhasePlan:
 
     base_classes: tuple[int, ...]
     incremental_classes: tuple[int, ...] = ()
-    train_fraction: float = 0.8
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        base = tuple(int(c) for c in self.base_classes)
-        inc = tuple(int(c) for c in self.incremental_classes)
-        object.__setattr__(self, "base_classes", base)
-        object.__setattr__(self, "incremental_classes", inc)
+        for name in ("base_classes", "incremental_classes"):
+            ids = tuple(getattr(self, name))
+            if any(not isinstance(c, int) or isinstance(c, bool) for c in ids):
+                raise ValueError(f"{name} must hold only integer class ids")
+            object.__setattr__(self, name, ids)
+        base, inc = self.base_classes, self.incremental_classes
         if not base:
             raise ValueError("at least one base class is required")
         if len(set(base)) != len(base) or len(set(inc)) != len(inc):
@@ -52,8 +52,6 @@ class PhasePlan:
             raise ValueError("base and incremental class sets must be disjoint")
         if any(c < 0 for c in base + inc):
             raise ValueError("class ids must be non-negative")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
 
     @property
     def all_classes(self) -> tuple[int, ...]:
@@ -147,34 +145,13 @@ def forgetting_rate(acc_task1_initial: float, acc_task1_now: float) -> float:
     return acc_task1_initial - acc_task1_now
 
 
-def _assign_splits(records: list[InstructionRecord], plan: PhasePlan) -> list[str]:
-    """Record splits, honouring pre-assigned ones and splitting the rest per class."""
-    splits: list[str | None] = [r.split for r in records]
-    pending: dict[int, list[int]] = {}
-    for i, record in enumerate(records):
-        if record.split is None:
-            pending.setdefault(record.task_id, []).append(i)
-    for class_id, idxs in pending.items():
-        if len(idxs) < 2:
-            raise ValueError(
-                f"class {class_id} has {len(idxs)} unsplit rows; need at least 2"
-            )
-        rng = np.random.default_rng([plan.seed, class_id])
-        order = rng.permutation(len(idxs))
-        n_train = int(round(len(idxs) * plan.train_fraction))
-        n_train = min(max(n_train, 1), len(idxs) - 1)
-        for rank, j in enumerate(order):
-            splits[idxs[j]] = "train" if rank < n_train else "test"
-    return splits  # type: ignore[return-value]
-
-
 def _index_by_class(
-    records: list[InstructionRecord], splits: list[str], plan: PhasePlan
+    records: list[InstructionRecord], plan: PhasePlan
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     train_idx: dict[int, list[int]] = {c: [] for c in plan.all_classes}
     test_idx: dict[int, list[int]] = {c: [] for c in plan.all_classes}
     for i, record in enumerate(records):
-        (train_idx if splits[i] == "train" else test_idx)[record.task_id].append(i)
+        (train_idx if record.split == "train" else test_idx)[record.task_id].append(i)
     for c in plan.all_classes:
         if not train_idx[c] or not test_idx[c]:
             raise ValueError(f"class {c} needs both train and test rows")
@@ -204,8 +181,7 @@ def _prepare(
         )
     params = ExpansionParams.for_config(config, expansion_seed)
     features = featurize_batch([r.text for r in records], config, params)
-    splits = _assign_splits(records, plan)
-    train_idx, test_idx = _index_by_class(records, splits, plan)
+    train_idx, test_idx = _index_by_class(records, plan)
     labels = np.array([r.task_id for r in records], dtype=np.int64)
     return records, params.seed, features, labels, train_idx, test_idx
 

@@ -76,6 +76,8 @@ class FeaturizerConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "FeaturizerConfig":
         """Parse a config without coercion: no string for a bool, no 1.9 for 1."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"featurizer config must be a JSON object, got {doc!r}")
         try:
             values = {field.name: doc[field.name] for field in fields(cls)}
         except KeyError as exc:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +94,30 @@ def test_eval_default_plan_on_ten_classes_has_six_rows(capsys, tmp_path):
     assert [p["new_classes"] for p in doc["phases"][1:]] == [[5], [6], [7], [8], [9]]
     table = (tmp_path / "report.txt").read_text()
     assert table.count("IL Phase") == 5
+
+
+def test_eval_runs_the_readme_plan_example(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"custom phase plan.*?```json\n(.*?)```", readme, re.S)
+    assert block is not None, "README has no custom phase plan JSON block"
+    plan = tmp_path / "plan.json"
+    plan.write_text(block.group(1))
+    corpus = tmp_path / "ten.jsonl"
+    report_out = tmp_path / "report.json"
+    code, _, _ = _run(capsys, ["gen-corpus", "--corpus", str(corpus),
+                               "--n-classes", "10", "--per-class", "12",
+                               "--seed", "1"])
+    assert code == 0
+    code, _, err = _run(capsys, ["eval", "--corpus", str(corpus), "--plan", str(plan),
+                                 "--report-out", str(report_out),
+                                 "--d-e", "128", "--d-f", "32", "--seed", "1"])
+    assert code == 0, err
+    doc = json.loads(report_out.read_text())
+    expected = json.loads(block.group(1))
+    assert doc["phases"][0]["new_classes"] == expected["base_classes"]
+    assert [p["new_classes"] for p in doc["phases"][1:]] == [
+        [c] for c in expected["incremental_classes"]
+    ]
 
 
 # -- train-base ---------------------------------------------------------------
@@ -255,6 +281,35 @@ def test_eval_rejects_unknown_plan_field(workdir, capsys, tmp_path):
                                  "--report-out", str(tmp_path / "r.json")])
     assert code == 1
     assert "phases" in json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"base_classes": [0, 1.9], "incremental_classes": [2, 3]}, "base_classes"),
+        ({"base_classes": [0, 1], "incremental_classes": [2, "3"]}, "incremental_classes"),
+        ({"base_classes": [0, 1], "incremental_classes": [2, True]}, "incremental_classes"),
+        ({"base_classes": 0, "incremental_classes": [1, 2, 3]}, "base_classes"),
+        ({"incremental_classes": [0, 1, 2, 3]}, "base_classes"),
+        ([0, 1, 2, 3], "object"),
+        # The split comes from the corpus; a plan cannot set it.
+        ({"base_classes": [0, 1], "incremental_classes": [2, 3], "seed": 0},
+         "unknown plan field(s) ['seed']"),
+        ({"base_classes": [0, 1], "incremental_classes": [2, 3], "train_fraction": 0.8},
+         "unknown plan field(s) ['train_fraction']"),
+    ],
+    ids=["float-id", "string-id", "bool-id", "not-a-list", "no-base", "not-an-object",
+         "seed", "train-fraction"],
+)
+def test_eval_refuses_malformed_plans(workdir, capsys, tmp_path, doc, match):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["eval", "--corpus", str(workdir / "corpus.jsonl"),
+                                 "--plan", str(plan),
+                                 "--report-out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert match in json.loads(err.strip())["error"]
+    assert not (tmp_path / "r.json").exists()
 
 
 # -- usage errors -------------------------------------------------------------------

@@ -81,8 +81,8 @@ def test_write_refuses_overwrite_without_force(tmp_path):
 
 
 def test_write_rejects_unsplit_records(tmp_path):
-    record = InstructionRecord(text="grab the cube", task_id=0, split=None)
     with pytest.raises(ValueError, match="split"):
+        record = InstructionRecord(text="grab the cube", task_id=0, split=None)
         write_corpus([record], tmp_path / "corpus.jsonl")
 
 

@@ -57,6 +57,12 @@ def test_config_from_dict_rejects_fractional_integer():
         FeaturizerConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc", [[], [1, 2], "config", 3], ids=["empty-list", "list", "str", "int"])
+def test_config_from_dict_refuses_a_non_object(doc):
+    with pytest.raises(ValueError, match="JSON object"):
+        FeaturizerConfig.from_dict(doc)
+
+
 # -- tokenize -------------------------------------------------------------
 
 

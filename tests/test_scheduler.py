@@ -564,6 +564,16 @@ def test_load_rejects_string_bool_in_featurizer(tmp_path):
         load_state(path)
 
 
+def test_load_rejects_a_featurizer_that_is_not_an_object(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    header["featurizer"] = list(header["featurizer"].values())
+    _write_state(path, header, payload)
+    with pytest.raises(StateFormatError, match="JSON object"):
+        load_state(path)
+
+
 def test_states_without_featurizer_round_trip(tmp_path):
     state = _trained_state(with_featurizer=False)
     path = tmp_path / "bare.json"
