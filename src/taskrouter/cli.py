@@ -154,6 +154,8 @@ def cmd_train_base(args: argparse.Namespace) -> int:
 
 
 def cmd_update(args: argparse.Namespace) -> int:
+    if args.new_class < 0:
+        raise ValueError(f"--new-class must be a non-negative task id, got {args.new_class}")
     state_in = Path(args.state).resolve()
     state_out = Path(args.state_out).resolve()
     if state_in == state_out:
@@ -251,7 +253,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     kind, host, port = parse_endpoint(args.endpoint)
     router = Router.from_files(args.state, args.registry)
     if kind == "stdio":
-        serve_stdio(router, sys.stdin, sys.stdout)
+        serve_stdio(router, sys.stdin.buffer, sys.stdout.buffer)
     else:
         serve_tcp(router, host, port, ready_stream=sys.stdout)
     return 0

@@ -38,8 +38,10 @@ class InstructionRecord:
     split: str = "train"
 
     def __post_init__(self) -> None:
-        if self.task_id < 0:
-            raise ValueError("task_id must be non-negative")
+        if not isinstance(self.text, str):
+            raise ValueError(f"text must be a string, got {self.text!r}")
+        if isinstance(self.task_id, bool) or not isinstance(self.task_id, int) or self.task_id < 0:
+            raise ValueError(f"task_id must be a non-negative integer, got {self.task_id!r}")
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
 
@@ -226,7 +228,11 @@ def generate_synthetic_corpus(
 def write_corpus(
     records: list[InstructionRecord], destination: str | Path, *, force: bool = False
 ) -> None:
-    """Write records as JSONL; refuses to overwrite unless ``force``."""
+    """Write records as JSONL; refuses to overwrite unless ``force``.
+
+    The existence check and the rename are separate steps: two writers without
+    ``force`` can race, and a symlink at ``destination`` is replaced.
+    """
     path = Path(destination)
     if path.exists() and not force:
         raise FileExistsError(f"{path} already exists (use force to overwrite)")
@@ -252,18 +258,11 @@ def read_corpus(source: str | Path) -> list[InstructionRecord]:
             if not isinstance(doc, dict):
                 raise ValueError(f"line {lineno}: expected a JSON object")
             try:
-                text = doc["text"]
-                task_id = doc["task_id"]
-                split = doc["split"]
+                records.append(InstructionRecord(doc["text"], doc["task_id"], doc["split"]))
             except KeyError as exc:
                 raise ValueError(f"line {lineno}: missing field {exc}") from exc
-            if not isinstance(text, str):
-                raise ValueError(f"line {lineno}: text must be a string")
-            if not isinstance(task_id, int) or isinstance(task_id, bool) or task_id < 0:
-                raise ValueError(f"line {lineno}: task_id must be a non-negative integer")
-            if split not in ("train", "test"):
-                raise ValueError(f"line {lineno}: split must be 'train' or 'test'")
-            records.append(InstructionRecord(text=text, task_id=task_id, split=split))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
     if not records:
         raise ValueError(f"{source}: corpus is empty")
     return records

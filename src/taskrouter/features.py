@@ -54,6 +54,18 @@ class FeaturizerConfig:
     lowercase: bool = True
 
     def __post_init__(self) -> None:
+        # No coercion: no string for a bool, no 1.9 or true for an integer.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "lowercase":
+                if not isinstance(value, bool):
+                    raise ValueError(
+                        f"featurizer field 'lowercase' must be a bool, got {value!r}"
+                    )
+            elif isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"featurizer field {field.name!r} must be an integer, got {value!r}"
+                )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.d_f <= 0 or self.d_e <= 0 or self.vocab_buckets <= 0:
@@ -75,23 +87,13 @@ class FeaturizerConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeaturizerConfig":
-        """Parse a config without coercion: no string for a bool, no 1.9 for 1."""
+        """Parse a config from a JSON object that holds every field."""
         if not isinstance(doc, dict):
             raise ValueError(f"featurizer config must be a JSON object, got {doc!r}")
         try:
             values = {field.name: doc[field.name] for field in fields(cls)}
         except KeyError as exc:
             raise ValueError(f"featurizer config is missing field {exc}") from exc
-        for name, value in values.items():
-            if name == "lowercase":
-                if not isinstance(value, bool):
-                    raise ValueError(
-                        f"featurizer field 'lowercase' must be a bool, got {value!r}"
-                    )
-            elif isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(
-                    f"featurizer field {name!r} must be an integer, got {value!r}"
-                )
         return cls(**values)
 
 

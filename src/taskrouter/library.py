@@ -9,7 +9,7 @@ registry/lookup/execute boundary is stable for later adapters.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -41,14 +41,21 @@ class ExecutorSpec:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        # No coercion: no 1.9 or true for an integer, no list for a name.
+        for name, (kind, described) in _SPEC_FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"executor field {name!r} must be {described}, got {value!r}")
+        # Checked before float(), which raises OverflowError on an integer past the float range.
+        if not abs(self.amplitude) <= sys.float_info.max:
+            raise ValueError("amplitude must be finite")
+        object.__setattr__(self, "amplitude", float(self.amplitude))
         if self.task_id < 0:
             raise ValueError("task_id must be non-negative")
         if self.action_dim <= 0 or self.horizon <= 0:
             raise ValueError("action_dim and horizon must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("amplitude must be finite")
 
     def to_dict(self) -> dict:
         return {
@@ -62,28 +69,14 @@ class ExecutorSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExecutorSpec":
-        """Parse a spec without coercion: no 1.9 or true for an int, no list for a name."""
+        """Parse a spec from a JSON object; ``seed`` and ``amplitude`` may be absent."""
         if not isinstance(doc, dict):
             raise ValueError(f"executor spec must be a JSON object, got {doc!r}")
         try:
-            values = {
-                "task_id": doc["task_id"],
-                "name": doc["name"],
-                "action_dim": doc["action_dim"],
-                "horizon": doc["horizon"],
-                "seed": doc.get("seed", 0),
-                "amplitude": doc.get("amplitude", 1.0),
-            }
+            required = {key: doc[key] for key in ("task_id", "name", "action_dim", "horizon")}
         except KeyError as exc:
             raise ValueError(f"executor spec is missing field {exc}") from exc
-        for name, value in values.items():
-            kind, described = _SPEC_FIELD_TYPES[name]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(
-                    f"executor field {name!r} must be {described}, got {value!r}"
-                )
-        values["amplitude"] = float(values["amplitude"])
-        return cls(**values)
+        return cls(**required, seed=doc.get("seed", 0), amplitude=doc.get("amplitude", 1.0))
 
 
 _SPEC_FIELD_TYPES = {

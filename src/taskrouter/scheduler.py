@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -82,34 +83,59 @@ class SchedulerState:
 
     ``R`` (d_e x d_e) is the inverse regularised Gram matrix, ``Q``
     (d_e x d_k) the feature/label moment matrix, and ``W = R Q`` the routing
-    weights. ``featurizer`` and ``expansion_seed`` record how inputs must be
-    featurized and may be absent for states driven with raw feature matrices.
+    weights; ``d_e`` and ``d_k`` are read from their shapes. ``featurizer``
+    and ``expansion_seed`` record how inputs must be featurized and may be
+    absent for states driven with raw feature matrices.
     """
 
     R: np.ndarray
     Q: np.ndarray
     W: np.ndarray
     gamma: float
-    d_e: int
-    d_k: int
     tasks_seen: int = 0
     featurizer: FeaturizerConfig | None = None
     expansion_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0 or not np.isfinite(self.gamma):
-            raise ValueError("gamma must be a positive finite float")
-        if self.R.shape != (self.d_e, self.d_e):
-            raise ValueError("R must be square with side d_e")
-        if self.Q.shape != (self.d_e, self.d_k) or self.W.shape != (self.d_e, self.d_k):
+        object.__setattr__(self, "gamma", _as_gamma(self.gamma))
+        if self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1]:
+            raise ValueError("R must be a square matrix")
+        if self.Q.ndim != 2 or self.Q.shape[0] != self.d_e or self.W.shape != self.Q.shape:
             raise ValueError("Q and W must have shape (d_e, d_k)")
         for name, arr in (("R", self.R), ("Q", self.Q), ("W", self.W)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
-        if self.tasks_seen < 0:
-            raise ValueError("tasks_seen must be non-negative")
+        if not _is_int(self.tasks_seen) or self.tasks_seen < 0:
+            raise ValueError(f"tasks_seen must be a non-negative integer, got {self.tasks_seen!r}")
+        seed = self.expansion_seed
+        if seed is not None and not (_is_int(seed) and 0 <= seed < 2**64):
+            raise ValueError(
+                f"expansion_seed must be None or an integer in [0, 2**64), got {seed!r}"
+            )
         if self.featurizer is not None and self.featurizer.d_e != self.d_e:
             raise ValueError("featurizer d_e disagrees with the state's d_e")
+
+    @property
+    def d_e(self) -> int:
+        return self.R.shape[0]
+
+    @property
+    def d_k(self) -> int:
+        return self.Q.shape[1]
+
+
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but true is not a count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_gamma(gamma) -> float:
+    """gamma as a float; refuses a bool, a non-number, and any value not positive and finite."""
+    number = isinstance(gamma, (int, float)) and not isinstance(gamma, bool)
+    # The upper bound also refuses an integer too large for float() to convert.
+    if not number or not 0 < gamma <= sys.float_info.max:
+        raise ValueError(f"gamma must be a positive finite number, got {gamma!r}")
+    return float(gamma)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -166,8 +192,7 @@ def init(
     """Fresh, classless state: R = I/gamma, empty Q and W."""
     if d_e <= 0:
         raise ValueError("d_e must be positive")
-    if gamma <= 0 or not np.isfinite(gamma):
-        raise ValueError("gamma must be a positive finite float")
+    gamma = _as_gamma(gamma)
     r = np.eye(d_e) / gamma
     q = np.zeros((d_e, 0))
     w = np.zeros((d_e, 0))
@@ -176,9 +201,7 @@ def init(
         R=r,
         Q=q,
         W=w,
-        gamma=float(gamma),
-        d_e=d_e,
-        d_k=0,
+        gamma=gamma,
         tasks_seen=0,
         featurizer=featurizer,
         expansion_seed=expansion_seed,
@@ -198,8 +221,7 @@ def fit_base(
     W = (FᵀF + gamma I)^{-1} FᵀY; R and Q are stored so later batches can be
     absorbed without this data.
     """
-    if gamma <= 0 or not np.isfinite(gamma):
-        raise ValueError("gamma must be a positive finite float")
+    gamma = _as_gamma(gamma)
     feats = _as_feature_matrix(features)
     lab = _as_label_matrix(labels, feats.shape[0])
     d_e = feats.shape[1]
@@ -218,9 +240,7 @@ def fit_base(
         R=r,
         Q=q,
         W=w,
-        gamma=float(gamma),
-        d_e=d_e,
-        d_k=lab.shape[1],
+        gamma=gamma,
         tasks_seen=1,
         featurizer=featurizer,
         expansion_seed=expansion_seed,
@@ -298,7 +318,7 @@ def expand_label_space(state: SchedulerState, new_d_k: int) -> SchedulerState:
     q = np.hstack([state.Q, pad])
     w = np.hstack([state.W, pad])
     _freeze(q, w)
-    return replace(state, Q=q, W=w, d_k=new_d_k)
+    return replace(state, Q=q, W=w)
 
 
 def predict_proba(state: SchedulerState, expanded: np.ndarray) -> np.ndarray:
@@ -413,11 +433,6 @@ def _require(header: dict, key: str):
     return header[key]
 
 
-def _is_int(value) -> bool:
-    # bool is a subclass of int, but true is not a dimension.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _max_asymmetry(r: np.ndarray) -> float:
     """max |R - Rᵀ|, compared tile against mirrored tile.
 
@@ -438,8 +453,10 @@ def load_state(source: str | Path) -> SchedulerState:
     """Load a state file, validating its header, payload and invariants.
 
     The payload must be exactly as long as the header's shapes require and
-    match its sha256; R and Q must be finite and R symmetric. R and Q are
-    read into freshly allocated, aligned, read-only arrays.
+    match its sha256; R must be symmetric, and every other field passes the
+    state's own checks, whose ``ValueError`` becomes a
+    :class:`StateFormatError`. R and Q are read into freshly allocated,
+    aligned, read-only arrays.
     """
     with open(source, "rb") as handle:
         header = _read_header(handle)
@@ -455,20 +472,8 @@ def load_state(source: str | Path) -> SchedulerState:
         sha256 = _require(header, "payload_sha256")
         if not _is_int(d_e) or not _is_int(d_k) or d_e <= 0 or d_k < 0:
             raise StateFormatError("d_e must be a positive and d_K a non-negative integer")
-        if isinstance(gamma, bool) or not isinstance(gamma, (int, float)) or not gamma > 0:
-            raise StateFormatError("gamma must be a positive number")
-        if not _is_int(tasks_seen) or tasks_seen < 0:
-            raise StateFormatError("tasks_seen must be a non-negative integer")
-        if expansion_seed is not None and not _is_int(expansion_seed):
-            raise StateFormatError("expansion_seed must be an integer or null")
         if not isinstance(sha256, str):
             raise StateFormatError("payload_sha256 must be a string")
-        featurizer = None
-        if raw_feat is not None:
-            try:
-                featurizer = FeaturizerConfig.from_dict(raw_feat)
-            except ValueError as exc:
-                raise StateFormatError(str(exc)) from exc
 
         expected = _PAYLOAD_DTYPE.itemsize * (d_e * d_e + d_e * d_k)
         size = os.fstat(handle.fileno()).st_size - handle.tell()
@@ -502,11 +507,9 @@ def load_state(source: str | Path) -> SchedulerState:
             R=r,
             Q=q,
             W=w,
-            gamma=float(gamma),
-            d_e=d_e,
-            d_k=d_k,
+            gamma=gamma,
             tasks_seen=tasks_seen,
-            featurizer=featurizer,
+            featurizer=None if raw_feat is None else FeaturizerConfig.from_dict(raw_feat),
             expansion_seed=expansion_seed,
         )
     except ValueError as exc:

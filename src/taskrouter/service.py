@@ -135,14 +135,20 @@ class Router:
             return {"error": str(exc)}
 
 
-def serve_stdio(router: Router, in_stream: IO[str], out_stream: IO[str]) -> None:
-    """Serve newline-delimited JSON requests until the input stream closes."""
-    for line in in_stream:
-        line = line.strip()
+def _serve_lines(router: Router, in_stream: IO[bytes], out_stream: IO[bytes]) -> None:
+    """Answer each non-blank request line with one response line until the input closes."""
+    for raw in in_stream:
+        # Undecodable bytes are replaced, so a garbage line gets an error line.
+        line = raw.decode("utf-8", errors="replace").strip()
         if not line:
             continue
-        out_stream.write(json.dumps(router.handle_request_line(line)) + "\n")
+        out_stream.write((json.dumps(router.handle_request_line(line)) + "\n").encode("utf-8"))
         out_stream.flush()
+
+
+def serve_stdio(router: Router, in_stream: IO[bytes], out_stream: IO[bytes]) -> None:
+    """Serve newline-delimited JSON requests from a binary stream until it closes."""
+    _serve_lines(router, in_stream, out_stream)
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, str, int]:
@@ -166,13 +172,7 @@ def parse_endpoint(endpoint: str) -> tuple[str, str, int]:
 
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            response = self.server.router.handle_request_line(line)  # type: ignore[attr-defined]
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
+        _serve_lines(self.server.router, self.rfile, self.wfile)  # type: ignore[attr-defined]
 
 
 class _Server(socketserver.ThreadingTCPServer):

@@ -171,6 +171,16 @@ def test_update_rejects_already_trained_class(workdir, capsys, tmp_path):
     assert "already trained" in json.loads(err.strip())["error"]
 
 
+def test_update_refuses_a_negative_class_before_reading_the_state(workdir, capsys, tmp_path):
+    # Q[:, -1] is the last column, so -1 must not reach the "already trained" check.
+    code, _, err = _run(capsys, ["update", "--state", str(tmp_path / "missing.json"),
+                                 "--corpus", str(workdir / "corpus.jsonl"),
+                                 "--new-class", "-1", "--state-out",
+                                 str(tmp_path / "x.json")])
+    assert code == 1
+    assert "--new-class" in json.loads(err.strip())["error"]
+
+
 def test_update_rejects_same_input_and_output_path(workdir, capsys):
     base = str(workdir / "base.json")
     code, _, err = _run(capsys, ["update", "--state", base,

@@ -98,6 +98,9 @@ def test_read_names_bad_lines(tmp_path):
     path.write_text(json.dumps({"task_id": 0, "split": "train"}) + "\n")
     with pytest.raises(ValueError, match="text"):
         read_corpus(path)
+    path.write_text(good + "\n" + json.dumps({"text": "x", "task_id": "3", "split": "train"}))
+    with pytest.raises(ValueError, match="line 2: task_id must be a non-negative integer"):
+        read_corpus(path)
     path.write_text("\n")
     with pytest.raises(ValueError, match="empty"):
         read_corpus(path)
@@ -108,3 +111,8 @@ def test_record_validation():
         InstructionRecord(text="x", task_id=-1)
     with pytest.raises(ValueError):
         InstructionRecord(text="x", task_id=0, split="validation")
+    with pytest.raises(ValueError, match="text"):
+        InstructionRecord(text=1, task_id=0)
+    for bad in (True, 1.5, "3"):
+        with pytest.raises(ValueError, match="task_id"):
+            InstructionRecord(text="x", task_id=bad)

@@ -49,12 +49,18 @@ def test_config_from_dict_rejects_string_for_bool():
     doc = dict(FeaturizerConfig().to_dict(), lowercase="false")
     with pytest.raises(ValueError, match="lowercase"):
         FeaturizerConfig.from_dict(doc)
+    with pytest.raises(ValueError, match="lowercase"):
+        FeaturizerConfig(lowercase="no")
 
 
 def test_config_from_dict_rejects_fractional_integer():
     doc = dict(FeaturizerConfig().to_dict(), d_f=1.9)
     with pytest.raises(ValueError, match="d_f"):
         FeaturizerConfig.from_dict(doc)
+    with pytest.raises(ValueError, match="d_f"):
+        FeaturizerConfig(d_f=8.5, d_e=16)
+    with pytest.raises(ValueError, match="seed"):
+        FeaturizerConfig(seed=True)
 
 
 @pytest.mark.parametrize("doc", [[], [1, 2], "config", 3], ids=["empty-list", "list", "str", "int"])

@@ -62,8 +62,9 @@ def test_spec_validation():
         _spec(0, horizon=-1)
     with pytest.raises(ValueError):
         _spec(-1)
-    with pytest.raises(ValueError):
-        _spec(0, amplitude=float("inf"))
+    for amplitude in (float("inf"), float("nan"), 10**400):
+        with pytest.raises(ValueError, match="amplitude"):
+            _spec(0, amplitude=amplitude)
 
 
 # -- execute -----------------------------------------------------------------
@@ -168,6 +169,8 @@ def test_spec_from_dict_refuses_wrong_types(field, bad):
     doc = dict(_GOOD_SPEC_DOC, **{field: bad})
     with pytest.raises(ValueError, match=f"executor field '{field}'"):
         ExecutorSpec.from_dict(doc)
+    with pytest.raises(ValueError, match=f"executor field '{field}'"):
+        ExecutorSpec(**doc)
 
 
 @pytest.mark.parametrize("entry", [1, "task", None, [0, "x", 1, 1]])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,9 +40,9 @@ def _random_batch(rng, n, d_e, d_k):
 def _logit_state(logit_rows: np.ndarray) -> SchedulerState:
     """A state whose first-basis-vector logits equal the given row."""
     w = np.asarray(logit_rows, dtype=np.float64)
-    d_e, d_k = w.shape
+    d_e = w.shape[0]
     return SchedulerState(
-        R=np.eye(d_e), Q=w, W=w, gamma=1.0, d_e=d_e, d_k=d_k, tasks_seen=1
+        R=np.eye(d_e), Q=w, W=w, gamma=1.0, tasks_seen=1
     )
 
 
@@ -64,6 +65,17 @@ def test_init_scales_inverse_of_gamma():
 def test_init_rejects_nonpositive_gamma(gamma):
     with pytest.raises(ValueError):
         init(2, gamma)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("gamma", True), ("gamma", "1.0"), ("gamma", float("inf")), ("gamma", 10**400),
+    ("tasks_seen", True), ("tasks_seen", 1.5), ("tasks_seen", -1),
+    ("expansion_seed", True), ("expansion_seed", 1.0), ("expansion_seed", -1),
+    ("expansion_seed", 2**64),
+])
+def test_state_refuses_wrong_types(field, bad):
+    with pytest.raises(ValueError, match=field):
+        replace(init(2, 1.0, expansion_seed=0), **{field: bad})
 
 
 # -- fit_base ---------------------------------------------------------------
@@ -154,7 +166,7 @@ def test_update_flags_pathological_inner_system():
     # A hand-built negative-definite R makes the inner system indefinite.
     broken = SchedulerState(
         R=-np.eye(2), Q=np.zeros((2, 1)), W=np.zeros((2, 1)),
-        gamma=1.0, d_e=2, d_k=1, tasks_seen=1,
+        gamma=1.0, tasks_seen=1,
     )
     with pytest.raises(NumericalError):
         update(broken, np.array([[2.0, 0.0]]), np.array([[1.0]]))
@@ -539,7 +551,7 @@ def test_loaded_arrays_are_contiguous_aligned_and_read_only(tmp_path):
         assert not arr.flags.writeable
 
 
-@pytest.mark.parametrize("key", ["d_e", "d_K", "tasks_seen", "expansion_seed"])
+@pytest.mark.parametrize("key", ["d_e", "d_K", "gamma", "tasks_seen", "expansion_seed"])
 def test_load_rejects_bool_for_integer_header_field(tmp_path, key):
     # Every one of these fields is 1, so true would pass as an equal value.
     state = expand_label_space(init(1, 1.0, expansion_seed=1), 1)
@@ -551,6 +563,16 @@ def test_load_rejects_bool_for_integer_header_field(tmp_path, key):
     header[key] = True
     _write_state(path, header, payload)
     with pytest.raises(StateFormatError, match=key):
+        load_state(path)
+
+
+def test_load_names_a_negative_expansion_seed(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    header["expansion_seed"] = -1
+    _write_state(path, header, payload)
+    with pytest.raises(StateFormatError, match="expansion_seed"):
         load_state(path)
 
 

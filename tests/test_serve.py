@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -102,34 +103,77 @@ def test_stdio_survives_garbage_lines(served_files):
 
 
 def test_tcp_round_trip(served_files):
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "taskrouter", "serve",
          "--state", str(served_files["state"]),
          "--registry", str(served_files["registry"]),
          "--endpoint", "tcp:127.0.0.1:0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        ready = json.loads(proc.stdout.readline())
-        port = ready["listening"]["port"]
-        with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
-            payload = "\n".join(_requests()) + "\n"
-            conn.sendall(payload.encode("utf-8"))
-            conn.shutdown(socket.SHUT_WR)
-            data = b""
-            while True:
-                block = conn.recv(65536)
-                if not block:
-                    break
-                data += block
-        lines = [json.loads(line) for line in data.decode().strip().splitlines()]
-        assert len(lines) == 3
-        assert lines[0]["task_id"] == 0
-        assert lines[1]["tasks_seen"] == 1
-        assert lines[2]["task_id"] == 1
-    finally:
-        proc.terminate()
-        proc.wait(timeout=30)
+    ) as proc:
+        try:
+            ready = json.loads(proc.stdout.readline())
+            port = ready["listening"]["port"]
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+                payload = "\n".join(_requests()) + "\n"
+                conn.sendall(payload.encode("utf-8"))
+                conn.shutdown(socket.SHUT_WR)
+                data = b""
+                while True:
+                    block = conn.recv(65536)
+                    if not block:
+                        break
+                    data += block
+            lines = [json.loads(line) for line in data.decode().strip().splitlines()]
+            assert len(lines) == 3
+            assert lines[0]["task_id"] == 0
+            assert lines[1]["tasks_seen"] == 1
+            assert lines[2]["task_id"] == 1
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+
+
+def test_stdio_and_tcp_answer_the_same_bytes_alike(served_files):
+    # A blank line, a garbage line that is not even UTF-8, and a route whose
+    # text holds an undecodable byte.
+    payload = b"\n".join([
+        json.dumps({"op": "stats"}).encode(),
+        b"",
+        b"\xff\xfe not json",
+        b'{"op": "route", "text": "pick up the ripe banana \xe9"}',
+        json.dumps({"op": "route", "text": "stack the red tomatoes on the plate"}).encode(),
+    ]) + b"\n"
+    command = [sys.executable, "-m", "taskrouter", "serve",
+               "--state", str(served_files["state"]),
+               "--registry", str(served_files["registry"])]
+    # A strict text stdin would die on the garbage line; serve must not use one.
+    strict_stdin = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    stdio = subprocess.run(command, input=payload, capture_output=True, timeout=120,
+                           env=strict_stdin)
+    assert stdio.returncode == 0, stdio.stderr
+    with subprocess.Popen(command + ["--endpoint", "tcp:127.0.0.1:0"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        try:
+            port = json.loads(proc.stdout.readline())["listening"]["port"]
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+                conn.sendall(payload)
+                conn.shutdown(socket.SHUT_WR)
+                tcp = b"".join(iter(lambda: conn.recv(65536), b""))
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+
+    def without_latency(data):
+        docs = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        for doc in docs:
+            doc.pop("latency_micros", None)
+        return docs
+
+    answered = without_latency(stdio.stdout)
+    assert answered == without_latency(tcp)
+    assert len(answered) == 4
+    assert "error" in answered[1]
+    assert answered[2]["task_id"] == 0 and answered[3]["task_id"] == 1
 
 
 def test_router_requires_trained_featurized_state(served_files, tmp_path):
