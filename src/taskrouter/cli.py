@@ -18,6 +18,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import scheduler
 from .atomic import write_atomic
+from .checks import json_fields
 from .evaluation import PhasePlan, baseline_sequential, run_protocol
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
 from .service import Router, parse_endpoint, serve_stdio, serve_tcp
@@ -193,17 +194,10 @@ def _load_plan(path: str) -> PhasePlan:
         raise ValueError(
             f"{path}: invalid plan JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: plan must be a JSON object")
-    unknown = sorted(set(doc) - {"base_classes", "incremental_classes"})
-    if unknown:
-        raise ValueError(f"{path}: unknown plan field(s) {unknown}")
-    if "base_classes" not in doc:
-        raise ValueError(f"{path}: plan field 'base_classes' is required")
-    for key in ("base_classes", "incremental_classes"):
-        if not isinstance(doc.get(key, []), list):
-            raise ValueError(f"{path}: plan field {key!r} must be a list")
-    return PhasePlan(**doc)
+    try:
+        return PhasePlan(**json_fields(doc, "plan", ("base_classes",), ("incremental_classes",)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _default_plan(records) -> PhasePlan:

@@ -10,13 +10,14 @@ deterministic function of the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import write_atomic
+from .checks import check_int, json_fields
 
 __all__ = [
     "InstructionRecord",
@@ -40,8 +41,7 @@ class InstructionRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.text, str):
             raise ValueError(f"text must be a string, got {self.text!r}")
-        if isinstance(self.task_id, bool) or not isinstance(self.task_id, int) or self.task_id < 0:
-            raise ValueError(f"task_id must be a non-negative integer, got {self.task_id!r}")
+        check_int(self.task_id, "task_id")
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
 
@@ -236,10 +236,7 @@ def write_corpus(
     path = Path(destination)
     if path.exists() and not force:
         raise FileExistsError(f"{path} already exists (use force to overwrite)")
-    lines = [
-        json.dumps({"text": r.text, "task_id": r.task_id, "split": r.split})
-        for r in records
-    ]
+    lines = [json.dumps(asdict(r)) for r in records]
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -252,15 +249,10 @@ def read_corpus(source: str | Path) -> list[InstructionRecord]:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
+                doc = json_fields(json.loads(line), "corpus record", ("text", "task_id", "split"))
+                records.append(InstructionRecord(**doc))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(doc, dict):
-                raise ValueError(f"line {lineno}: expected a JSON object")
-            try:
-                records.append(InstructionRecord(doc["text"], doc["task_id"], doc["split"]))
-            except KeyError as exc:
-                raise ValueError(f"line {lineno}: missing field {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     if not records:

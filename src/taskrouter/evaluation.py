@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .checks import check_int
 from .corpus import InstructionRecord
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
 from .scheduler import expand_label_space, fit_base, one_hot, predict, update
@@ -39,10 +40,10 @@ class PhasePlan:
 
     def __post_init__(self) -> None:
         for name in ("base_classes", "incremental_classes"):
-            ids = tuple(getattr(self, name))
-            if any(not isinstance(c, int) or isinstance(c, bool) for c in ids):
-                raise ValueError(f"{name} must hold only integer class ids")
-            object.__setattr__(self, name, ids)
+            ids = getattr(self, name)
+            if not isinstance(ids, (list, tuple)):
+                raise ValueError(f"{name} must be a list of class ids, got {ids!r}")
+            object.__setattr__(self, name, tuple(check_int(c, f"{name} class id") for c in ids))
         base, inc = self.base_classes, self.incremental_classes
         if not base:
             raise ValueError("at least one base class is required")
@@ -50,8 +51,6 @@ class PhasePlan:
             raise ValueError("duplicate class ids in the plan")
         if set(base) & set(inc):
             raise ValueError("base and incremental class sets must be disjoint")
-        if any(c < 0 for c in base + inc):
-            raise ValueError("class ids must be non-negative")
 
     @property
     def all_classes(self) -> tuple[int, ...]:

@@ -14,11 +14,13 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+from .checks import check_int, json_fields
 
 __all__ = [
     "EMPTY_TOKEN",
@@ -54,22 +56,11 @@ class FeaturizerConfig:
     lowercase: bool = True
 
     def __post_init__(self) -> None:
-        # No coercion: no string for a bool, no 1.9 or true for an integer.
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.name == "lowercase":
-                if not isinstance(value, bool):
-                    raise ValueError(
-                        f"featurizer field 'lowercase' must be a bool, got {value!r}"
-                    )
-            elif isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(
-                    f"featurizer field {field.name!r} must be an integer, got {value!r}"
-                )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.d_f <= 0 or self.d_e <= 0 or self.vocab_buckets <= 0:
-            raise ValueError("d_f, d_e and vocab_buckets must be positive")
+        check_int(self.seed, "featurizer field 'seed'", 0, 2**64)
+        for name in ("d_f", "d_e", "vocab_buckets"):
+            check_int(getattr(self, name), f"featurizer field {name!r}", 1)
+        if type(self.lowercase) is not bool:
+            raise ValueError(f"featurizer field 'lowercase' must be a bool, got {self.lowercase!r}")
         if not self.d_f < self.d_e:
             raise ValueError(
                 f"raw dimension d_f={self.d_f} must be strictly smaller "
@@ -77,24 +68,12 @@ class FeaturizerConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "d_f": self.d_f,
-            "d_e": self.d_e,
-            "vocab_buckets": self.vocab_buckets,
-            "lowercase": self.lowercase,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeaturizerConfig":
-        """Parse a config from a JSON object that holds every field."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"featurizer config must be a JSON object, got {doc!r}")
-        try:
-            values = {field.name: doc[field.name] for field in fields(cls)}
-        except KeyError as exc:
-            raise ValueError(f"featurizer config is missing field {exc}") from exc
-        return cls(**values)
+        """Parse a config from a JSON object that holds every field and no other."""
+        return cls(**json_fields(doc, "featurizer config", (f.name for f in fields(cls))))
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,14 @@ registry/lookup/execute boundary is stable for later adapters.
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .atomic import write_atomic
+from .checks import check_int, check_number, json_fields
 
 __all__ = [
     "ExecutorSpec",
@@ -41,52 +41,25 @@ class ExecutorSpec:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        # No coercion: no 1.9 or true for an integer, no list for a name.
-        for name, (kind, described) in _SPEC_FIELD_TYPES.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"executor field {name!r} must be {described}, got {value!r}")
-        # Checked before float(), which raises OverflowError on an integer past the float range.
-        if not abs(self.amplitude) <= sys.float_info.max:
-            raise ValueError("amplitude must be finite")
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        if self.task_id < 0:
-            raise ValueError("task_id must be non-negative")
-        if self.action_dim <= 0 or self.horizon <= 0:
-            raise ValueError("action_dim and horizon must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_int(self.task_id, "executor field 'task_id'")
+        if not isinstance(self.name, str):
+            raise ValueError(f"executor field 'name' must be a string, got {self.name!r}")
+        check_int(self.action_dim, "executor field 'action_dim'", 1)
+        check_int(self.horizon, "executor field 'horizon'", 1)
+        check_int(self.seed, "executor field 'seed'")
+        object.__setattr__(
+            self, "amplitude", check_number(self.amplitude, "executor field 'amplitude'")
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "name": self.name,
-            "action_dim": self.action_dim,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "amplitude": self.amplitude,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExecutorSpec":
         """Parse a spec from a JSON object; ``seed`` and ``amplitude`` may be absent."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"executor spec must be a JSON object, got {doc!r}")
-        try:
-            required = {key: doc[key] for key in ("task_id", "name", "action_dim", "horizon")}
-        except KeyError as exc:
-            raise ValueError(f"executor spec is missing field {exc}") from exc
-        return cls(**required, seed=doc.get("seed", 0), amplitude=doc.get("amplitude", 1.0))
-
-
-_SPEC_FIELD_TYPES = {
-    "task_id": (int, "an integer"),
-    "name": (str, "a string"),
-    "action_dim": (int, "an integer"),
-    "horizon": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "amplitude": ((int, float), "a number"),
-}
+        return cls(**json_fields(
+            doc, "executor spec", ("task_id", "name", "action_dim", "horizon"), ("seed", "amplitude")
+        ))
 
 
 @dataclass(frozen=True)
@@ -153,15 +126,6 @@ class ExecutorRegistry:
     def __iter__(self) -> Iterator[ExecutorSpec]:
         return iter(self._specs.values())
 
-    def to_manifest(self) -> list[dict]:
-        return [spec.to_dict() for spec in self]
-
-    @classmethod
-    def from_manifest(cls, doc: list) -> "ExecutorRegistry":
-        if not isinstance(doc, list):
-            raise ValueError("registry manifest must be a JSON array")
-        return cls(ExecutorSpec.from_dict(entry) for entry in doc)
-
 
 def execute(spec: ExecutorSpec, observation: Observation) -> ActionChunk:
     """Run the stub policy: a fixed smooth trajectory per (seed, task_id).
@@ -182,7 +146,7 @@ def execute(spec: ExecutorSpec, observation: Observation) -> ActionChunk:
 
 
 def save_manifest(registry: ExecutorRegistry, destination: str | Path) -> None:
-    text = json.dumps(registry.to_manifest(), indent=2)
+    text = json.dumps([spec.to_dict() for spec in registry], indent=2)
     write_atomic(destination, (text + "\n").encode("utf-8"))
 
 
@@ -191,4 +155,6 @@ def load_manifest(source: str | Path) -> ExecutorRegistry:
         doc = json.loads(Path(source).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt registry manifest: {exc}") from exc
-    return ExecutorRegistry.from_manifest(doc)
+    if not isinstance(doc, list):
+        raise ValueError("registry manifest must be a JSON array")
+    return ExecutorRegistry(ExecutorSpec.from_dict(entry) for entry in doc)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,6 +32,7 @@ import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
 
 from .atomic import write_atomic
+from .checks import check_int, check_number, is_int, json_fields
 from .features import FeaturizerConfig
 
 __all__ = [
@@ -70,7 +70,7 @@ _SYMMETRY_TOL = 1e-9
 
 
 class NumericalError(RuntimeError):
-    """The inner update system could not be factorised; features are pathological."""
+    """A Gram or inner update system overflowed or is not factorisable: pathological features."""
 
 
 class StateFormatError(ValueError):
@@ -105,13 +105,9 @@ class SchedulerState:
         for name, arr in (("R", self.R), ("Q", self.Q), ("W", self.W)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
-        if not _is_int(self.tasks_seen) or self.tasks_seen < 0:
-            raise ValueError(f"tasks_seen must be a non-negative integer, got {self.tasks_seen!r}")
-        seed = self.expansion_seed
-        if seed is not None and not (_is_int(seed) and 0 <= seed < 2**64):
-            raise ValueError(
-                f"expansion_seed must be None or an integer in [0, 2**64), got {seed!r}"
-            )
+        check_int(self.tasks_seen, "tasks_seen")
+        if self.expansion_seed is not None:
+            check_int(self.expansion_seed, "expansion_seed", 0, 2**64)
         if self.featurizer is not None and self.featurizer.d_e != self.d_e:
             raise ValueError("featurizer d_e disagrees with the state's d_e")
 
@@ -124,18 +120,18 @@ class SchedulerState:
         return self.Q.shape[1]
 
 
-def _is_int(value) -> bool:
-    # bool is a subclass of int, but true is not a count.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _as_gamma(gamma) -> float:
     """gamma as a float; refuses a bool, a non-number, and any value not positive and finite."""
-    number = isinstance(gamma, (int, float)) and not isinstance(gamma, bool)
-    # The upper bound also refuses an integer too large for float() to convert.
-    if not number or not 0 < gamma <= sys.float_info.max:
-        raise ValueError(f"gamma must be a positive finite number, got {gamma!r}")
-    return float(gamma)
+    gamma = check_number(gamma, "gamma")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    return gamma
+
+
+def _check_finite_system(system: np.ndarray, what: str) -> None:
+    # Finite features can still overflow the products that form the system.
+    if not np.isfinite(system).all():
+        raise NumericalError(f"{what} overflows; the feature magnitudes are pathological")
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -225,7 +221,9 @@ def fit_base(
     feats = _as_feature_matrix(features)
     lab = _as_label_matrix(labels, feats.shape[0])
     d_e = feats.shape[1]
-    gram = feats.T @ feats + gamma * np.eye(d_e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = feats.T @ feats + gamma * np.eye(d_e)
+    _check_finite_system(gram, "regularised Gram matrix")
     try:
         lower, _ = cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -280,9 +278,11 @@ def update(
     r = state.R
     for start in range(0, feats.shape[0], chunk_rows):
         chunk = feats[start : start + chunk_rows]
-        b = chunk @ r
-        # cho_factor reads only the lower triangle of the inner system.
-        inner = np.eye(chunk.shape[0]) + b @ chunk.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = chunk @ r
+            # cho_factor reads only the lower triangle of the inner system.
+            inner = np.eye(chunk.shape[0]) + b @ chunk.T
+        _check_finite_system(inner, "inner update system")
         try:
             lower, _ = cho_factor(inner, lower=True)
         except np.linalg.LinAlgError as exc:
@@ -398,6 +398,9 @@ def save_state(state: SchedulerState, destination: str | Path) -> None:
     write_atomic(destination, line.encode("utf-8"), r, q)
 
 
+_HEADER_FIELDS = ("version", "d_e", "d_K", "gamma", "tasks_seen", "featurizer",
+                  "expansion_seed", "payload_sha256")
+
 # A version-1 file is a single JSON line that begins with this prefix and
 # holds R and Q as decimals, so it is usually far longer than HEADER_LIMIT.
 _VERSION_1_PREFIX = b'{"version":1,'
@@ -422,15 +425,19 @@ def _read_header(handle) -> dict:
         header = json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StateFormatError(f"corrupt state header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise StateFormatError("state header must be a JSON object")
+    # The version decides the layout, so a header of another version is
+    # refused as such before its keys are held against this version's.
+    if isinstance(header, dict) and "version" in header:
+        version = header["version"]
+        if not (is_int(version) and version == STATE_VERSION):
+            raise _unsupported_version(version)
+    try:
+        json_fields(header, "state header", _HEADER_FIELDS)
+        check_int(header["d_e"], "d_e", 1)
+        check_int(header["d_K"], "d_K")
+    except ValueError as exc:
+        raise StateFormatError(str(exc)) from exc
     return header
-
-
-def _require(header: dict, key: str):
-    if key not in header:
-        raise StateFormatError(f"state header is missing key {key!r}")
-    return header[key]
 
 
 def _max_asymmetry(r: np.ndarray) -> float:
@@ -460,21 +467,7 @@ def load_state(source: str | Path) -> SchedulerState:
     """
     with open(source, "rb") as handle:
         header = _read_header(handle)
-        version = _require(header, "version")
-        if not _is_int(version) or version != STATE_VERSION:
-            raise _unsupported_version(version)
-        d_e = _require(header, "d_e")
-        d_k = _require(header, "d_K")
-        gamma = _require(header, "gamma")
-        tasks_seen = _require(header, "tasks_seen")
-        raw_feat = _require(header, "featurizer")
-        expansion_seed = _require(header, "expansion_seed")
-        sha256 = _require(header, "payload_sha256")
-        if not _is_int(d_e) or not _is_int(d_k) or d_e <= 0 or d_k < 0:
-            raise StateFormatError("d_e must be a positive and d_K a non-negative integer")
-        if not isinstance(sha256, str):
-            raise StateFormatError("payload_sha256 must be a string")
-
+        d_e, d_k = header["d_e"], header["d_K"]
         expected = _PAYLOAD_DTYPE.itemsize * (d_e * d_e + d_e * d_k)
         size = os.fstat(handle.fileno()).st_size - handle.tell()
         if size != expected:
@@ -490,7 +483,7 @@ def load_state(source: str | Path) -> SchedulerState:
             if handle.readinto(arr.reshape(-1)) != arr.nbytes:
                 raise StateFormatError("state payload is truncated")
 
-    if _digest(r, q) != sha256:
+    if _digest(r, q) != header["payload_sha256"]:
         raise StateFormatError("state payload does not match its payload_sha256")
     # A non-finite payload makes inf - inf and R @ Q warn; it is refused below
     # by the state's own finiteness scan, so the warnings would only be noise.
@@ -502,15 +495,16 @@ def load_state(source: str | Path) -> SchedulerState:
             )
         w = r @ q
     _freeze(r, q, w)
+    featurizer = header["featurizer"]
     try:
         return SchedulerState(
             R=r,
             Q=q,
             W=w,
-            gamma=gamma,
-            tasks_seen=tasks_seen,
-            featurizer=None if raw_feat is None else FeaturizerConfig.from_dict(raw_feat),
-            expansion_seed=expansion_seed,
+            gamma=header["gamma"],
+            tasks_seen=header["tasks_seen"],
+            featurizer=None if featurizer is None else FeaturizerConfig.from_dict(featurizer),
+            expansion_seed=header["expansion_seed"],
         )
     except ValueError as exc:
         raise StateFormatError(str(exc)) from exc

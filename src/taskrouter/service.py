@@ -24,7 +24,11 @@ from .features import ExpansionParams, featurize_one
 from .library import ExecutorRegistry, Observation
 from .scheduler import SchedulerState, load_state, payload_sha256, predict_proba
 
-__all__ = ["RouteResult", "Router", "serve_stdio", "serve_tcp", "parse_endpoint"]
+__all__ = ["REQUEST_LINE_LIMIT", "RouteResult", "Router", "serve_stdio", "serve_tcp",
+           "parse_endpoint"]
+
+# Longest request line the serve loop accepts, newline included.
+REQUEST_LINE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -136,13 +140,23 @@ class Router:
 
 
 def _serve_lines(router: Router, in_stream: IO[bytes], out_stream: IO[bytes]) -> None:
-    """Answer each non-blank request line with one response line until the input closes."""
-    for raw in in_stream:
-        # Undecodable bytes are replaced, so a garbage line gets an error line.
-        line = raw.decode("utf-8", errors="replace").strip()
-        if not line:
-            continue
-        out_stream.write((json.dumps(router.handle_request_line(line)) + "\n").encode("utf-8"))
+    """Answer each non-blank request line with one response line until the input closes.
+
+    A line longer than :data:`REQUEST_LINE_LIMIT` gets one error line; the
+    rest of it is read and dropped in bounded pieces, never held whole.
+    """
+    while raw := in_stream.readline(REQUEST_LINE_LIMIT + 1):
+        if len(raw) > REQUEST_LINE_LIMIT:
+            while raw and not raw.endswith(b"\n"):
+                raw = in_stream.readline(REQUEST_LINE_LIMIT)
+            response = {"error": f"request line exceeds {REQUEST_LINE_LIMIT} bytes"}
+        else:
+            # Undecodable bytes are replaced, so a garbage line gets an error line.
+            line = raw.decode("utf-8", errors="replace").strip()
+            if not line:
+                continue
+            response = router.handle_request_line(line)
+        out_stream.write((json.dumps(response) + "\n").encode("utf-8"))
         out_stream.flush()
 
 

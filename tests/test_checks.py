@@ -1,0 +1,94 @@
+"""The shared field rules, and every JSON reader refusing a key it does not know."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+import taskrouter as tr
+from taskrouter.checks import check_int, check_number, json_fields
+from taskrouter.cli import _load_plan
+from taskrouter.scheduler import StateFormatError
+
+
+@pytest.mark.parametrize("value, low, high", [
+    (True, 0, None), (False, 0, None), (1.0, 0, None), ("1", 0, None), (None, 0, None),
+    (-1, 0, None), (0, 1, None), (2**64, 0, 2**64),
+])
+def test_check_int_refuses(value, low, high):
+    with pytest.raises(ValueError, match="field 'n' must be an integer"):
+        check_int(value, "field 'n'", low, high)
+
+
+def test_check_int_accepts_the_bounds():
+    assert check_int(0, "n") == 0
+    assert check_int(2**64 - 1, "n", 0, 2**64) == 2**64 - 1
+
+
+@pytest.mark.parametrize("value", [True, "1.0", None, float("inf"), float("nan"), 10**400])
+def test_check_number_refuses(value):
+    with pytest.raises(ValueError, match="x must be a finite number"):
+        check_number(value, "x")
+
+
+def test_check_number_returns_a_float():
+    assert type(check_number(3, "x")) is float and check_number(3, "x") == 3.0
+
+
+def test_json_fields():
+    doc = {"a": 1, "b": 2}
+    assert json_fields(doc, "thing", ("a",), ("b", "c")) is doc
+    with pytest.raises(ValueError, match="thing must be a JSON object, got list"):
+        json_fields([1], "thing", ("a",))
+    with pytest.raises(ValueError, match="thing is missing field 'a'"):
+        json_fields({"b": 2}, "thing", ("a",), ("b",))
+    with pytest.raises(ValueError, match=r"unknown thing field\(s\) \['b'\]"):
+        json_fields(doc, "thing", ("a",))
+
+
+# -- every reader refuses an unknown key ----------------------------------------
+
+
+def _corpus_line(path):
+    path.write_text(json.dumps({"text": "x", "task_id": 0, "split": "train", "splitt": 1}) + "\n")
+    return "splitt", lambda: tr.read_corpus(path)
+
+
+def _featurizer_config(path):
+    doc = dict(tr.FeaturizerConfig().to_dict(), lowercas=False)
+    return "lowercas", lambda: tr.FeaturizerConfig.from_dict(doc)
+
+
+def _manifest_entry(path):
+    entry = {"task_id": 0, "name": "x", "action_dim": 1, "horizon": 1, "amplitud": 2.0}
+    path.write_text(json.dumps([entry]))
+    return "amplitud", lambda: tr.load_manifest(path)
+
+
+def _plan_file(path):
+    path.write_text(json.dumps({"base_classes": [0], "incremental_class": [1]}))
+    return "incremental_class", lambda: _load_plan(str(path))
+
+
+def _state_header(path):
+    rng = np.random.default_rng(0)
+    state = tr.fit_base(rng.standard_normal((6, 4)), tr.one_hot([0, 1] * 3, 2), 1.0)
+    tr.save_state(state, path)
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = dict(json.loads(line), gama=2.0,
+                  payload_sha256=hashlib.sha256(payload).hexdigest())
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return "gama", lambda: tr.load_state(path)
+
+
+@pytest.mark.parametrize("reader", [
+    _corpus_line, _featurizer_config, _manifest_entry, _plan_file, _state_header,
+], ids=["corpus-line", "featurizer-config", "manifest-entry", "plan-file", "state-header"])
+def test_every_reader_refuses_an_unknown_key(tmp_path, reader):
+    key, read = reader(tmp_path / "doc")
+    error = StateFormatError if reader is _state_header else ValueError
+    with pytest.raises(error, match=rf"unknown .* field\(s\) \['{key}'\]"):
+        read()

@@ -99,7 +99,7 @@ def test_read_names_bad_lines(tmp_path):
     with pytest.raises(ValueError, match="text"):
         read_corpus(path)
     path.write_text(good + "\n" + json.dumps({"text": "x", "task_id": "3", "split": "train"}))
-    with pytest.raises(ValueError, match="line 2: task_id must be a non-negative integer"):
+    with pytest.raises(ValueError, match="line 2: task_id must be an integer >= 0"):
         read_corpus(path)
     path.write_text("\n")
     with pytest.raises(ValueError, match="empty"):

@@ -78,6 +78,14 @@ def test_plan_refuses_class_ids_that_are_not_ints(field, bad):
         PhasePlan(**ids)
 
 
+@pytest.mark.parametrize("field", ["base_classes", "incremental_classes"])
+@pytest.mark.parametrize("bad", [0, "01", None])
+def test_plan_refuses_a_field_that_is_not_a_list(field, bad):
+    ids = {"base_classes": (0,), "incremental_classes": (1,), field: bad}
+    with pytest.raises(ValueError, match=field):
+        PhasePlan(**ids)
+
+
 def test_protocol_rejects_plans_that_miss_classes(small_corpus):
     plan = PhasePlan(base_classes=(0, 1), incremental_classes=(2,))
     with pytest.raises(ValueError, match="missing from plan"):

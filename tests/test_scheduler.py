@@ -172,6 +172,20 @@ def test_update_flags_pathological_inner_system():
         update(broken, np.array([[2.0, 0.0]]), np.array([[1.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e155, 1e160])
+@pytest.mark.parametrize("step", ["fit_base", "update"])
+def test_overflowing_features_raise_numerical_error(step, scale):
+    # The features are finite, but the Gram matrix (fit_base) or the inner
+    # system (update) they form is not; no numpy or scipy error may escape.
+    feats, labels = _random_batch(np.random.default_rng(3), 20, 8, 3)
+    with pytest.raises(NumericalError, match="overflows"):
+        if step == "fit_base":
+            fit_base(feats * scale, labels, gamma=1.0)
+        else:
+            update(fit_base(feats, labels, gamma=1.0), feats * scale, labels)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=2, max_value=40),
@@ -473,7 +487,7 @@ def test_load_rejects_missing_keys(tmp_path):
     for key in header:
         _write_state(path, {k: v for k, v in header.items() if k != key}, payload,
                      rehash=False)
-        with pytest.raises(StateFormatError, match="missing key"):
+        with pytest.raises(StateFormatError, match="missing field"):
             load_state(path)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import socket
@@ -13,7 +14,7 @@ import pytest
 
 import taskrouter as tr
 from taskrouter.cli import main
-from taskrouter.service import Router, parse_endpoint
+from taskrouter.service import REQUEST_LINE_LIMIT, Router, parse_endpoint, serve_stdio
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +175,35 @@ def test_stdio_and_tcp_answer_the_same_bytes_alike(served_files):
     assert len(answered) == 4
     assert "error" in answered[1]
     assert answered[2]["task_id"] == 0 and answered[3]["task_id"] == 1
+
+
+class _BoundedReads(io.BytesIO):
+    """A request stream that fails any read not bounded by the line limit."""
+
+    def readline(self, size=-1):
+        assert 0 < size <= REQUEST_LINE_LIMIT + 1
+        return super().readline(size)
+
+
+def test_oversized_request_lines_get_an_error_line_each(served_files):
+    router = Router.from_files(served_files["state"], served_files["registry"])
+    stats = json.dumps({"op": "stats"}).encode()
+    route = json.dumps({"op": "route", "text": "stack the red tomatoes on the plate"}).encode()
+    requests = b"".join([
+        b"x" * (2 * REQUEST_LINE_LIMIT) + b"\n",
+        route + b"\n",
+        stats.ljust(REQUEST_LINE_LIMIT - 1) + b"\n",  # exactly at the limit
+        stats.ljust(REQUEST_LINE_LIMIT) + b"\n",  # one byte over it
+        b"y" * (2 * REQUEST_LINE_LIMIT),  # never ends in a newline
+    ])
+    out = io.BytesIO()
+    serve_stdio(router, _BoundedReads(requests), out)
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(lines) == 5
+    too_long = {"error": f"request line exceeds {REQUEST_LINE_LIMIT} bytes"}
+    assert lines[0] == lines[3] == lines[4] == too_long
+    assert lines[1]["task_id"] == 1 and lines[1]["executor_name"] == "exec-1"
+    assert lines[2]["d_K"] == 3
 
 
 def test_router_requires_trained_featurized_state(served_files, tmp_path):
