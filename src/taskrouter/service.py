@@ -4,13 +4,21 @@ A :class:`Router` bundles a loaded scheduler state, the expansion parameters
 regenerated from its stored seed, and an executor registry. Serving speaks
 newline-delimited JSON over stdio or a local TCP socket: one response line
 per request line, in order, and a malformed request produces an error line
-instead of killing the loop.
+instead of killing the loop. One class, ``_Requests``, frames request lines
+for both transports.
+
+stdio is a blocking loop of bounded reads. TCP is one thread running one
+``selectors`` loop over non-blocking sockets, so routing never competes with
+itself for the interpreter lock. It serves at most :data:`MAX_CONNECTIONS`
+clients at once, and a connection with :data:`OUTPUT_LIMIT` response bytes
+unsent is neither read nor answered until its client reads.
 """
 
 from __future__ import annotations
 
 import json
-import socketserver
+import selectors
+import socket
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,15 +28,30 @@ from typing import IO
 import numpy as np
 
 from . import library
+from .checks import json_fields
 from .features import ExpansionParams, featurize_one
 from .library import ExecutorRegistry, Observation
 from .scheduler import SchedulerState, load_state, payload_sha256, predict_proba
 
-__all__ = ["REQUEST_LINE_LIMIT", "RouteResult", "Router", "serve_stdio", "serve_tcp",
-           "parse_endpoint"]
+__all__ = ["MAX_CONNECTIONS", "OUTPUT_LIMIT", "REQUEST_LINE_LIMIT", "RouteResult", "Router",
+           "serve_stdio", "serve_tcp", "parse_endpoint"]
 
 # Longest request line the serve loop accepts, newline included.
 REQUEST_LINE_LIMIT = 1 << 20
+# Most TCP connections served at once; one more is sent an error line and closed.
+MAX_CONNECTIONS = 64
+# Pending response bytes at which a TCP connection stops being read and answered.
+OUTPUT_LIMIT = 1 << 20
+# Most bytes taken from a request stream in one read.
+_READ_SIZE = 1 << 16
+
+
+def _encode(response: dict) -> bytes:
+    return (json.dumps(response) + "\n").encode("utf-8")
+
+
+_TOO_LONG = _encode({"error": f"request line exceeds {REQUEST_LINE_LIMIT} bytes"})
+_TOO_MANY = _encode({"error": f"too many connections; at most {MAX_CONNECTIONS}"})
 
 
 @dataclass(frozen=True)
@@ -128,41 +151,83 @@ class Router:
         op = doc.get("op")
         try:
             if op == "route":
-                text = doc.get("text")
+                text = json_fields(doc, "route request", ("op", "text"))["text"]
                 if not isinstance(text, str):
                     return {"error": "route request needs a string 'text' field"}
                 return self.route(text).to_json_dict()
             if op == "stats":
+                json_fields(doc, "stats request", ("op",))
                 return self.stats()
             return {"error": f"unknown op {op!r}"}
         except Exception as exc:  # a bad request must not kill the loop
             return {"error": str(exc)}
 
 
-def _serve_lines(router: Router, in_stream: IO[bytes], out_stream: IO[bytes]) -> None:
-    """Answer each non-blank request line with one response line until the input closes.
+class _Requests:
+    """The request lines of one byte stream, fed to it in pieces of any size.
 
-    A line longer than :data:`REQUEST_LINE_LIMIT` gets one error line; the
-    rest of it is read and dropped in bounded pieces, never held whole.
+    Every framing rule of both transports lives here: a line holds at most
+    :data:`REQUEST_LINE_LIMIT` bytes, its newline included; a longer one gets
+    one error line, and the rest of it is dropped up to its newline without
+    being held; blank lines are skipped; bytes are decoded as UTF-8 with
+    undecodable ones replaced; and an unterminated last line is answered
+    once the stream ends.
     """
-    while raw := in_stream.readline(REQUEST_LINE_LIMIT + 1):
-        if len(raw) > REQUEST_LINE_LIMIT:
-            while raw and not raw.endswith(b"\n"):
-                raw = in_stream.readline(REQUEST_LINE_LIMIT)
-            response = {"error": f"request line exceeds {REQUEST_LINE_LIMIT} bytes"}
+
+    def __init__(self) -> None:
+        self.pending = bytearray()
+        self.discarding = False  # inside an oversized line, dropping up to its newline
+        self.ended = False
+
+    def feed(self, data: bytes) -> None:
+        """Append bytes read from the stream; empty ``data`` marks its end."""
+        if data:
+            self.pending += data
         else:
-            # Undecodable bytes are replaced, so a garbage line gets an error line.
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
+            self.ended = True
+
+    def answer(self, router: Router) -> bytes | None:
+        """The response line to the next whole request held, or None if none is."""
+        while True:
+            end = self.pending.find(b"\n")
+            if self.discarding:
+                if end < 0:
+                    self.pending.clear()
+                    return None
+                del self.pending[: end + 1]
+                self.discarding = False
                 continue
-            response = router.handle_request_line(line)
-        out_stream.write((json.dumps(response) + "\n").encode("utf-8"))
-        out_stream.flush()
+            if end >= 0:
+                raw = self.pending[: end + 1]
+                del self.pending[: end + 1]
+            elif len(self.pending) > REQUEST_LINE_LIMIT:
+                self.pending.clear()
+                self.discarding = True
+                return _TOO_LONG
+            elif self.ended and self.pending:
+                raw = bytes(self.pending)
+                self.pending.clear()
+            else:
+                return None
+            if len(raw) > REQUEST_LINE_LIMIT:
+                return _TOO_LONG
+            line = raw.decode("utf-8", errors="replace").strip()
+            if line:
+                return _encode(router.handle_request_line(line))
 
 
 def serve_stdio(router: Router, in_stream: IO[bytes], out_stream: IO[bytes]) -> None:
-    """Serve newline-delimited JSON requests from a binary stream until it closes."""
-    _serve_lines(router, in_stream, out_stream)
+    """Serve newline-delimited JSON requests from a binary stream until it closes.
+
+    The stream is read in ``read1`` calls of bounded size, and each response
+    is flushed as soon as it is written.
+    """
+    requests = _Requests()
+    while not requests.ended:
+        requests.feed(in_stream.read1(_READ_SIZE))
+        while (response := requests.answer(router)) is not None:
+            out_stream.write(response)
+            out_stream.flush()
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, str, int]:
@@ -184,30 +249,109 @@ def parse_endpoint(endpoint: str) -> tuple[str, str, int]:
     raise ValueError(f"unknown endpoint {endpoint!r}; expected 'stdio' or 'tcp:HOST:PORT'")
 
 
-class _LineHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        _serve_lines(self.server.router, self.rfile, self.wfile)  # type: ignore[attr-defined]
+class _Connection:
+    """One TCP client: its request framing and the response bytes not yet sent."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.requests = _Requests()
+        self.out = bytearray()
+
+    def pump(self, router: Router) -> None:
+        """Answer held requests and send, until they run out or the socket is full.
+
+        No request is answered while :data:`OUTPUT_LIMIT` bytes or more wait
+        to be sent, so a client that does not read holds a bounded buffer.
+        """
+        while True:
+            while len(self.out) < OUTPUT_LIMIT:
+                response = self.requests.answer(router)
+                if response is None:
+                    break
+                self.out += response
+            if not self.out:
+                return
+            try:
+                sent = self.sock.send(self.out)
+            except BlockingIOError:
+                return
+            del self.out[:sent]
+            if self.out:
+                return
+
+    def events(self) -> int:
+        """The readiness to wait for next; 0 once the connection is done."""
+        read = not self.requests.ended and len(self.out) < OUTPUT_LIMIT
+        return (selectors.EVENT_READ if read else 0) | (
+            selectors.EVENT_WRITE if self.out else 0
+        )
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+def _accept(listener: socket.socket, selector: selectors.BaseSelector) -> None:
+    try:
+        sock, _ = listener.accept()
+    except OSError:  # the client gave up before it was accepted, or no fd is left
+        return
+    sock.setblocking(False)
+    # The listener is registered too, so the map holds one more than the clients.
+    if len(selector.get_map()) > MAX_CONNECTIONS:
+        with sock:
+            try:
+                sock.send(_TOO_MANY)  # fits the empty send buffer of a new socket
+            except OSError:
+                pass
+        return
+    selector.register(sock, selectors.EVENT_READ, _Connection(sock))
 
-    def __init__(self, address: tuple[str, int], router: Router) -> None:
-        super().__init__(address, _LineHandler)
-        self.router = router
+
+def _serve_connection(
+    key: selectors.SelectorKey, ready: int, selector: selectors.BaseSelector,
+    router: Router,
+) -> None:
+    """Read once if readable, answer and send what the buffers allow, then re-arm."""
+    conn: _Connection = key.data
+    try:
+        if ready & selectors.EVENT_READ:
+            try:
+                conn.requests.feed(conn.sock.recv(_READ_SIZE))
+            except BlockingIOError:
+                pass
+        conn.pump(router)
+        events = conn.events()
+    except OSError:  # the client reset the connection or stopped reading it
+        events = 0
+    if not events:
+        selector.unregister(conn.sock)
+        conn.sock.close()
+    elif events != key.events:
+        selector.modify(conn.sock, events, conn)
 
 
 def serve_tcp(router: Router, host: str, port: int, *, ready_stream: IO[str]) -> None:
     """Serve over a local TCP socket; prints one ready line with the bound address.
 
-    Responses preserve request order within each connection. Runs until
-    interrupted.
+    One thread serves every connection from one ``selectors`` loop, and each
+    connection is answered in request order. A connection whose client has
+    shut down its sending side is answered in full before it is closed. Runs
+    until interrupted.
     """
-    with _Server((host, port), router) as server:
-        bound_host, bound_port = server.server_address[:2]
+    with socket.create_server((host, port)) as listener, \
+            selectors.DefaultSelector() as selector:
+        listener.setblocking(False)
+        selector.register(listener, selectors.EVENT_READ)
+        bound_host, bound_port = listener.getsockname()[:2]
         ready_stream.write(
             json.dumps({"listening": {"host": bound_host, "port": bound_port}}) + "\n"
         )
         ready_stream.flush()
-        server.serve_forever()
+        try:
+            while True:
+                for key, ready in selector.select():
+                    if key.fileobj is listener:
+                        _accept(listener, selector)
+                    else:
+                        _serve_connection(key, ready, selector, router)
+        finally:
+            for key in list(selector.get_map().values()):
+                if key.fileobj is not listener:
+                    key.fileobj.close()

@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import os
+import selectors
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
 import taskrouter as tr
 from taskrouter.cli import main
-from taskrouter.service import REQUEST_LINE_LIMIT, Router, parse_endpoint, serve_stdio
+from taskrouter.service import (
+    MAX_CONNECTIONS,
+    OUTPUT_LIMIT,
+    REQUEST_LINE_LIMIT,
+    Router,
+    _Connection,
+    parse_endpoint,
+    serve_stdio,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +57,46 @@ def _requests():
         json.dumps({"op": "stats"}),
         json.dumps({"op": "route", "text": "stack the red tomatoes on the plate"}),
     ]
+
+
+def _serve_command(served_files):
+    return [sys.executable, "-m", "taskrouter", "serve",
+            "--state", str(served_files["state"]),
+            "--registry", str(served_files["registry"])]
+
+
+@contextlib.contextmanager
+def _tcp_port(served_files):
+    """A TCP serve subprocess for the test's duration; yields its port."""
+    with subprocess.Popen(_serve_command(served_files) + ["--endpoint", "tcp:127.0.0.1:0"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        try:
+            yield json.loads(proc.stdout.readline())["listening"]["port"]
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+
+
+def _connect(port, timeout=30):
+    return socket.create_connection(("127.0.0.1", port), timeout=timeout)
+
+
+def _read_lines(conn, count):
+    """The next ``count`` response lines on ``conn``, parsed."""
+    data = b""
+    while data.count(b"\n") < count:
+        block = conn.recv(65536)
+        assert block, "connection closed before the last response"
+        data += block
+    assert data.endswith(b"\n") and data.count(b"\n") == count
+    return [json.loads(line) for line in data.splitlines()]
+
+
+def _without_latency(data):
+    docs = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+    for doc in docs:
+        doc.pop("latency_micros", None)
+    return docs
 
 
 def test_stdio_pipelined_requests_answered_in_order(served_files):
@@ -104,34 +155,16 @@ def test_stdio_survives_garbage_lines(served_files):
 
 
 def test_tcp_round_trip(served_files):
-    with subprocess.Popen(
-        [sys.executable, "-m", "taskrouter", "serve",
-         "--state", str(served_files["state"]),
-         "--registry", str(served_files["registry"]),
-         "--endpoint", "tcp:127.0.0.1:0"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    ) as proc:
-        try:
-            ready = json.loads(proc.stdout.readline())
-            port = ready["listening"]["port"]
-            with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
-                payload = "\n".join(_requests()) + "\n"
-                conn.sendall(payload.encode("utf-8"))
-                conn.shutdown(socket.SHUT_WR)
-                data = b""
-                while True:
-                    block = conn.recv(65536)
-                    if not block:
-                        break
-                    data += block
-            lines = [json.loads(line) for line in data.decode().strip().splitlines()]
-            assert len(lines) == 3
-            assert lines[0]["task_id"] == 0
-            assert lines[1]["tasks_seen"] == 1
-            assert lines[2]["task_id"] == 1
-        finally:
-            proc.terminate()
-            proc.wait(timeout=30)
+    with _tcp_port(served_files) as port, _connect(port) as conn:
+        payload = "\n".join(_requests()) + "\n"
+        conn.sendall(payload.encode("utf-8"))
+        conn.shutdown(socket.SHUT_WR)
+        data = b"".join(iter(lambda: conn.recv(65536), b""))
+    lines = [json.loads(line) for line in data.decode().strip().splitlines()]
+    assert len(lines) == 3
+    assert lines[0]["task_id"] == 0
+    assert lines[1]["tasks_seen"] == 1
+    assert lines[2]["task_id"] == 1
 
 
 def test_stdio_and_tcp_answer_the_same_bytes_alike(served_files):
@@ -144,37 +177,121 @@ def test_stdio_and_tcp_answer_the_same_bytes_alike(served_files):
         b'{"op": "route", "text": "pick up the ripe banana \xe9"}',
         json.dumps({"op": "route", "text": "stack the red tomatoes on the plate"}).encode(),
     ]) + b"\n"
-    command = [sys.executable, "-m", "taskrouter", "serve",
-               "--state", str(served_files["state"]),
-               "--registry", str(served_files["registry"])]
     # A strict text stdin would die on the garbage line; serve must not use one.
     strict_stdin = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
-    stdio = subprocess.run(command, input=payload, capture_output=True, timeout=120,
-                           env=strict_stdin)
+    stdio = subprocess.run(_serve_command(served_files), input=payload, capture_output=True,
+                           timeout=120, env=strict_stdin)
     assert stdio.returncode == 0, stdio.stderr
-    with subprocess.Popen(command + ["--endpoint", "tcp:127.0.0.1:0"],
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
-        try:
-            port = json.loads(proc.stdout.readline())["listening"]["port"]
-            with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
-                conn.sendall(payload)
-                conn.shutdown(socket.SHUT_WR)
-                tcp = b"".join(iter(lambda: conn.recv(65536), b""))
-        finally:
-            proc.terminate()
-            proc.wait(timeout=30)
+    with _tcp_port(served_files) as port, _connect(port) as conn:
+        conn.sendall(payload)
+        conn.shutdown(socket.SHUT_WR)
+        tcp = b"".join(iter(lambda: conn.recv(65536), b""))
 
-    def without_latency(data):
-        docs = [json.loads(line) for line in data.decode("utf-8").splitlines()]
-        for doc in docs:
-            doc.pop("latency_micros", None)
-        return docs
-
-    answered = without_latency(stdio.stdout)
-    assert answered == without_latency(tcp)
+    answered = _without_latency(stdio.stdout)
+    assert answered == _without_latency(tcp)
     assert len(answered) == 4
     assert "error" in answered[1]
     assert answered[2]["task_id"] == 0 and answered[3]["task_id"] == 1
+
+
+def test_tcp_oversized_line_gets_one_error_line(served_files):
+    route = json.dumps({"op": "route", "text": "stack the red tomatoes on the plate"})
+    with _tcp_port(served_files) as port, _connect(port) as conn:
+        conn.sendall(b"x" * (2 * REQUEST_LINE_LIMIT) + b"\n" + route.encode() + b"\n")
+        too_long, routed = _read_lines(conn, 2)
+    assert too_long == {"error": f"request line exceeds {REQUEST_LINE_LIMIT} bytes"}
+    assert routed["task_id"] == 1 and routed["executor_name"] == "exec-1"
+
+
+def test_tcp_pipelined_connections_each_answered_in_order(served_files):
+    requests = _requests() + [
+        json.dumps({"op": "route", "text": "put the banana in the bowl"}),
+        "not json",
+        json.dumps({"op": "route", "text": "place a tomato on the plate"}),
+    ]
+    per_conn = [[requests[(k + i) % len(requests)] for i in range(5)] for k in range(8)]
+    router = Router.from_files(served_files["state"], served_files["registry"])
+    expected = []
+    for lines in per_conn:
+        out = io.BytesIO()
+        serve_stdio(router, io.BytesIO(("\n".join(lines) + "\n").encode()), out)
+        expected.append(_without_latency(out.getvalue()))
+    with _tcp_port(served_files) as port, contextlib.ExitStack() as stack:
+        conns = [stack.enter_context(_connect(port)) for _ in per_conn]
+        for i in range(5):  # the connections' requests interleave on the server
+            for conn, lines in zip(conns, per_conn):
+                conn.sendall((lines[i] + "\n").encode())
+        answered = [_read_lines(conn, 5) for conn in conns]
+    for docs in answered:
+        for doc in docs:
+            doc.pop("latency_micros", None)
+    assert answered == expected
+
+
+def test_tcp_answers_an_unterminated_last_line_after_half_close(served_files):
+    with _tcp_port(served_files) as port, _connect(port) as conn:
+        conn.sendall(json.dumps({"op": "stats"}).encode() + b"\n"
+                     + json.dumps({"op": "route", "text": "pick up the ripe banana"}).encode())
+        conn.shutdown(socket.SHUT_WR)
+        stats, routed = _read_lines(conn, 2)
+        assert conn.recv(65536) == b""
+    assert stats["d_K"] == 3
+    assert routed["task_id"] == 0
+
+
+def test_tcp_client_that_never_reads_does_not_starve_others(served_files):
+    route = json.dumps({"op": "route", "text": "pick up the ripe banana"}).encode() + b"\n"
+    with _tcp_port(served_files) as port, _connect(port) as flood:
+        flood.sendall(route * 2000)
+        with _connect(port, timeout=10) as other:
+            start = time.monotonic()
+            other.sendall(json.dumps({"op": "stats"}).encode() + b"\n")
+            (stats,) = _read_lines(other, 1)
+            assert time.monotonic() - start < 10
+        assert stats["d_K"] == 3
+        # Held back, not dropped: once read, every answer arrives in order.
+        answered = _read_lines(flood, 2000)
+    assert all(doc["task_id"] == 0 for doc in answered)
+
+
+def test_tcp_connection_over_the_cap_gets_an_error_line_and_eof(served_files):
+    stats = json.dumps({"op": "stats"}).encode() + b"\n"
+    with _tcp_port(served_files) as port, contextlib.ExitStack() as stack:
+        conns = [stack.enter_context(_connect(port)) for _ in range(MAX_CONNECTIONS)]
+        for conn in conns:  # each is accepted and served before the next arrives
+            conn.sendall(stats)
+            assert _read_lines(conn, 1)[0]["d_K"] == 3
+        with _connect(port) as extra:
+            refused = _read_lines(extra, 1)
+            assert extra.recv(65536) == b""
+        conns[0].sendall(stats)
+        assert _read_lines(conns[0], 1)[0]["d_K"] == 3
+    assert refused == [{"error": f"too many connections; at most {MAX_CONNECTIONS}"}]
+
+
+def test_connection_holds_back_answers_while_its_output_is_full(served_files):
+    router = Router.from_files(served_files["state"], served_files["registry"])
+    route = json.dumps({"op": "route", "text": "pick up the ripe banana"}).encode() + b"\n"
+    # A little over one response: latency_micros varies in its digits.
+    response_size = len(json.dumps(router.handle_request_line(route.decode()))) + 32
+    server_end, client_end = socket.socketpair()
+    with server_end, client_end:
+        client_end.settimeout(30)
+        server_end.setblocking(False)
+        conn = _Connection(server_end)
+        requests = OUTPUT_LIMIT // response_size * 2
+        conn.requests.feed(route * requests)
+        conn.pump(router)  # the client reads nothing, so the socket buffer fills
+        conn.pump(router)  # as on the next writable event: tops the output up to the cap
+        assert OUTPUT_LIMIT <= len(conn.out) < OUTPUT_LIMIT + response_size
+        assert conn.events() == selectors.EVENT_WRITE  # not read while full
+        received = b""
+        while received.count(b"\n") < requests:
+            received += client_end.recv(1 << 16)
+            conn.pump(router)
+    answered = _without_latency(received)
+    assert len(answered) == requests
+    assert all(doc["task_id"] == 0 for doc in answered)
 
 
 class _BoundedReads(io.BytesIO):
@@ -183,6 +300,14 @@ class _BoundedReads(io.BytesIO):
     def readline(self, size=-1):
         assert 0 < size <= REQUEST_LINE_LIMIT + 1
         return super().readline(size)
+
+    def read1(self, size=-1):
+        assert 0 < size <= REQUEST_LINE_LIMIT + 1
+        return super().read1(size)
+
+    def read(self, size=-1):
+        assert 0 < size <= REQUEST_LINE_LIMIT + 1
+        return super().read(size)
 
 
 def test_oversized_request_lines_get_an_error_line_each(served_files):
@@ -227,3 +352,13 @@ def test_handle_request_line_never_raises(served_files):
     assert "error" in router.handle_request_line("{}")
     response = router.handle_request_line(json.dumps({"op": "route", "text": ""}))
     assert "task_id" in response
+
+
+@pytest.mark.parametrize("request_doc, key", [
+    ({"op": "stats", "verbose": True}, "verbose"),
+    ({"op": "route", "text": "pick up the ripe banana", "top_k": 1}, "top_k"),
+], ids=["stats", "route"])
+def test_requests_refuse_unknown_keys(served_files, request_doc, key):
+    router = Router.from_files(served_files["state"], served_files["registry"])
+    response = router.handle_request_line(json.dumps(request_doc))
+    assert set(response) == {"error"} and key in response["error"]
