@@ -40,6 +40,9 @@ EMPTY_TOKEN = "<empty>"
 
 _TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
 
+# Tokens hash into this many buckets, each owning one fixed embedding.
+VOCAB_BUCKETS = 1 << 16
+
 
 @dataclass(frozen=True)
 class FeaturizerConfig:
@@ -52,15 +55,11 @@ class FeaturizerConfig:
     seed: int = 0
     d_f: int = 64
     d_e: int = 1024
-    vocab_buckets: int = 1 << 16
-    lowercase: bool = True
 
     def __post_init__(self) -> None:
         check_int(self.seed, "featurizer field 'seed'", 0, 2**64)
-        for name in ("d_f", "d_e", "vocab_buckets"):
+        for name in ("d_f", "d_e"):
             check_int(getattr(self, name), f"featurizer field {name!r}", 1)
-        if type(self.lowercase) is not bool:
-            raise ValueError(f"featurizer field 'lowercase' must be a bool, got {self.lowercase!r}")
         if not self.d_f < self.d_e:
             raise ValueError(
                 f"raw dimension d_f={self.d_f} must be strictly smaller "
@@ -127,27 +126,24 @@ class ExpansionParams:
 
 
 def tokenize(text: str, config: FeaturizerConfig) -> list[str]:
-    """Split on whitespace and punctuation; degenerate input yields the sentinel.
+    """Lowercase, then split on whitespace and punctuation; degenerate input yields the sentinel.
 
-    Lowercases first when the config says so. The same string always maps to
-    the same token sequence.
+    The same string always maps to the same token sequence.
     """
-    if config.lowercase:
-        text = text.lower()
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _TOKEN_RE.findall(text.lower())
     return tokens if tokens else [EMPTY_TOKEN]
 
 
-def _bucket(token: str, seed: int, vocab_buckets: int) -> int:
+def _bucket(token: str, seed: int) -> int:
     digest = hashlib.blake2b(
         token.encode("utf-8"),
         digest_size=8,
         key=seed.to_bytes(8, "little"),
     ).digest()
-    return int.from_bytes(digest, "big") % vocab_buckets
+    return int.from_bytes(digest, "big") % VOCAB_BUCKETS
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=VOCAB_BUCKETS)
 def _bucket_embedding(bucket: int, d_f: int) -> np.ndarray:
     # The bucket index seeds the vector; entries are standard normal scaled
     # by 1/sqrt(d_f) so the expected squared row norm is 1.
@@ -166,9 +162,7 @@ def embed_sequence(tokens: Sequence[str], config: FeaturizerConfig) -> np.ndarra
         raise ValueError("token sequence must be non-empty")
     rows = np.empty((len(tokens), config.d_f), dtype=np.float64)
     for i, token in enumerate(tokens):
-        rows[i] = _bucket_embedding(
-            _bucket(token, config.seed, config.vocab_buckets), config.d_f
-        )
+        rows[i] = _bucket_embedding(_bucket(token, config.seed), config.d_f)
     return rows
 
 

@@ -16,8 +16,8 @@ Numerical conventions, all load-bearing for the equivalence guarantees:
   and batches wider than ``chunk_rows`` are absorbed as successive
   sub-updates, which is exact up to rounding;
 * every change to R is a product Cᵀ C, which BLAS forms from one triangle,
-  so R stays exactly symmetric; symmetry is checked only in
-  :func:`load_state`, where R comes from outside the program.
+  so R stays exactly symmetric; a state file stores only R's lower
+  triangle, so a loaded R is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ __all__ = [
     "load_state",
 ]
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 DEFAULT_CHUNK_ROWS = 512
 
 # Longest header line a state file may have, newline included. Real headers
@@ -62,11 +62,8 @@ DEFAULT_CHUNK_ROWS = 512
 # whole in search of a newline.
 HEADER_LIMIT = 1 << 16
 
-# R and Q are stored as raw little-endian float64 in C order.
+# R's lower triangle and Q are stored as raw little-endian float64.
 _PAYLOAD_DTYPE = np.dtype("<f8")
-
-# Largest elementwise asymmetry tolerated in an R read from a state file.
-_SYMMETRY_TOL = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -166,11 +163,10 @@ def _as_label_matrix(labels: np.ndarray, n_rows: int) -> np.ndarray:
 
 def one_hot(class_ids, num_classes: int) -> np.ndarray:
     """One-hot encode integer class ids into an (n, num_classes) float matrix."""
+    check_int(num_classes, "num_classes", 1)
     ids = np.asarray(class_ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ValueError("class_ids must be 1-D")
-    if num_classes < 1:
-        raise ValueError("num_classes must be positive")
     if ids.size and (ids.min() < 0 or ids.max() >= num_classes):
         raise ValueError("class ids must lie in [0, num_classes)")
     out = np.zeros((ids.size, num_classes), dtype=np.float64)
@@ -186,8 +182,7 @@ def init(
     expansion_seed: int | None = None,
 ) -> SchedulerState:
     """Fresh, classless state: R = I/gamma, empty Q and W."""
-    if d_e <= 0:
-        raise ValueError("d_e must be positive")
+    check_int(d_e, "d_e", 1)
     gamma = _as_gamma(gamma)
     r = np.eye(d_e) / gamma
     q = np.zeros((d_e, 0))
@@ -310,6 +305,7 @@ def expand_label_space(state: SchedulerState, new_d_k: int) -> SchedulerState:
     R is untouched, and zero columns add zero logits, so predictions for
     existing classes are bit-identical before and after.
     """
+    check_int(new_d_k, "new_d_k")
     if new_d_k <= state.d_k:
         raise ValueError(
             f"new class count ({new_d_k}) must exceed the current one ({state.d_k})"
@@ -350,17 +346,23 @@ def predict(state: SchedulerState, expanded: np.ndarray):
     return np.argmax(probs, axis=1)
 
 
-def _payload(state: SchedulerState) -> tuple[np.ndarray, np.ndarray]:
-    """R and Q as C-ordered little-endian float64; views unless a copy is needed."""
-    return (
+def _parts(r: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+    """The payload in file order, as views: each row of R up to its diagonal, then Q."""
+    return [r[i, : i + 1] for i in range(r.shape[0])] + [q.reshape(-1)]
+
+
+def _payload(state: SchedulerState) -> list[np.ndarray]:
+    """The state's payload parts, copied only if R or Q is not C-ordered little-endian float64."""
+    return _parts(
         np.ascontiguousarray(state.R, dtype=_PAYLOAD_DTYPE),
         np.ascontiguousarray(state.Q, dtype=_PAYLOAD_DTYPE),
     )
 
 
-def _digest(r: np.ndarray, q: np.ndarray) -> str:
-    digest = hashlib.sha256(r)  # hashes the array's buffer in place
-    digest.update(q)
+def _digest(parts: list[np.ndarray]) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)  # hashes the array's buffer in place
     return digest.hexdigest()
 
 
@@ -370,7 +372,7 @@ def payload_sha256(state: SchedulerState) -> str:
     Equal states give equal digests, so it fingerprints which state a
     process holds.
     """
-    return _digest(*_payload(state))
+    return _digest(_payload(state))
 
 
 def save_state(state: SchedulerState, destination: str | Path) -> None:
@@ -378,12 +380,14 @@ def save_state(state: SchedulerState, destination: str | Path) -> None:
 
     The header holds ``version``, ``d_e``, ``d_K``, ``gamma``,
     ``tasks_seen``, ``featurizer``, ``expansion_seed`` and the payload's
-    ``payload_sha256``. The payload is R (d_e x d_e) then Q (d_e x d_K) as
-    raw little-endian float64 in C order. W is not stored; it is recomputed
-    from R Q on load. Equal states give equal bytes, so a save/load/save
-    cycle is byte-identical, and the file is replaced atomically.
+    ``payload_sha256``. The payload is each row of R up to its diagonal
+    (``R[i, :i+1]``, row by row), then Q (d_e x d_K) in C order, as raw
+    little-endian float64. R is symmetric, so its upper triangle is not
+    stored, and W is not stored either; both are derived on load. Equal
+    states give equal bytes, so a save/load/save cycle is byte-identical,
+    and the file is replaced atomically.
     """
-    r, q = _payload(state)
+    parts = _payload(state)
     header = {
         "version": STATE_VERSION,
         "d_e": state.d_e,
@@ -392,18 +396,14 @@ def save_state(state: SchedulerState, destination: str | Path) -> None:
         "tasks_seen": state.tasks_seen,
         "featurizer": None if state.featurizer is None else state.featurizer.to_dict(),
         "expansion_seed": state.expansion_seed,
-        "payload_sha256": _digest(r, q),
+        "payload_sha256": _digest(parts),
     }
     line = json.dumps(header, separators=(",", ":")) + "\n"
-    write_atomic(destination, line.encode("utf-8"), r, q)
+    write_atomic(destination, line.encode("utf-8"), *parts)
 
 
 _HEADER_FIELDS = ("version", "d_e", "d_K", "gamma", "tasks_seen", "featurizer",
                   "expansion_seed", "payload_sha256")
-
-# A version-1 file is a single JSON line that begins with this prefix and
-# holds R and Q as decimals, so it is usually far longer than HEADER_LIMIT.
-_VERSION_1_PREFIX = b'{"version":1,'
 
 
 def _unsupported_version(version) -> StateFormatError:
@@ -416,8 +416,6 @@ def _unsupported_version(version) -> StateFormatError:
 def _read_header(handle) -> dict:
     line = handle.readline(HEADER_LIMIT)
     if not line.endswith(b"\n"):
-        if line.startswith(_VERSION_1_PREFIX):
-            raise _unsupported_version(1)
         raise StateFormatError(
             f"state header is not a line of at most {HEADER_LIMIT} bytes"
         )
@@ -440,35 +438,20 @@ def _read_header(handle) -> dict:
     return header
 
 
-def _max_asymmetry(r: np.ndarray) -> float:
-    """max |R - Rᵀ|, compared tile against mirrored tile.
-
-    ``r - r.T`` reads the transpose a whole row apart per element; 64 x 64
-    tiles stay in cache. At d_e=1024 on a 2-core x86 VM the tiles take about
-    3 ms against 25 ms.
-    """
-    tile = 64
-    worst = 0.0
-    for i in range(0, r.shape[0], tile):
-        for j in range(i, r.shape[0], tile):
-            block = r[i : i + tile, j : j + tile] - r[j : j + tile, i : i + tile].T
-            worst = max(worst, float(np.abs(block).max()))
-    return worst
-
-
 def load_state(source: str | Path) -> SchedulerState:
     """Load a state file, validating its header, payload and invariants.
 
     The payload must be exactly as long as the header's shapes require and
-    match its sha256; R must be symmetric, and every other field passes the
-    state's own checks, whose ``ValueError`` becomes a
-    :class:`StateFormatError`. R and Q are read into freshly allocated,
-    aligned, read-only arrays.
+    match its sha256, and every other field passes the state's own checks,
+    whose ``ValueError`` becomes a :class:`StateFormatError`. R's stored
+    lower triangle is mirrored into its upper one, so R is symmetric by
+    construction. R and Q are read into freshly allocated, aligned,
+    read-only arrays.
     """
     with open(source, "rb") as handle:
         header = _read_header(handle)
         d_e, d_k = header["d_e"], header["d_K"]
-        expected = _PAYLOAD_DTYPE.itemsize * (d_e * d_e + d_e * d_k)
+        expected = _PAYLOAD_DTYPE.itemsize * (d_e * (d_e + 1) // 2 + d_e * d_k)
         size = os.fstat(handle.fileno()).st_size - handle.tell()
         if size != expected:
             raise StateFormatError(
@@ -479,20 +462,19 @@ def load_state(source: str | Path) -> SchedulerState:
         # bytes at the header's length would not be, and slows every x @ R.
         r = np.empty((d_e, d_e), dtype=_PAYLOAD_DTYPE)
         q = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
-        for arr in (r, q):
-            if handle.readinto(arr.reshape(-1)) != arr.nbytes:
+        digest = hashlib.sha256()
+        for part in _parts(r, q):
+            if handle.readinto(part) != part.nbytes:
                 raise StateFormatError("state payload is truncated")
+            digest.update(part)
 
-    if _digest(r, q) != header["payload_sha256"]:
+    if digest.hexdigest() != header["payload_sha256"]:
         raise StateFormatError("state payload does not match its payload_sha256")
-    # A non-finite payload makes inf - inf and R @ Q warn; it is refused below
-    # by the state's own finiteness scan, so the warnings would only be noise.
+    for i in range(d_e - 1):
+        r[i, i + 1 :] = r[i + 1 :, i]
+    # A non-finite payload makes R @ Q warn; it is refused below by the
+    # state's own finiteness scan, so the warning would only be noise.
     with np.errstate(invalid="ignore", over="ignore"):
-        asymmetry = _max_asymmetry(r)
-        if asymmetry > _SYMMETRY_TOL:
-            raise StateFormatError(
-                f"R violates the symmetry invariant (asymmetry {asymmetry:.3e})"
-            )
         w = r @ q
     _freeze(r, q, w)
     featurizer = header["featurizer"]

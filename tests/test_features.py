@@ -19,7 +19,7 @@ from taskrouter.features import (
     tokenize,
 )
 
-CFG = FeaturizerConfig(seed=0, d_f=16, d_e=48, vocab_buckets=1 << 12)
+CFG = FeaturizerConfig(seed=0, d_f=16, d_e=48)
 
 
 # -- config ---------------------------------------------------------------
@@ -33,7 +33,7 @@ def test_config_requires_df_strictly_below_de():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"d_f": 0}, {"d_e": 0}, {"vocab_buckets": 0}, {"seed": -1},
+    {"d_f": 0}, {"d_e": 0}, {"d_f": -1}, {"seed": -1},
 ])
 def test_config_rejects_nonpositive_fields(kwargs):
     with pytest.raises(ValueError):
@@ -41,16 +41,16 @@ def test_config_rejects_nonpositive_fields(kwargs):
 
 
 def test_config_dict_round_trip():
-    cfg = FeaturizerConfig(seed=9, d_f=8, d_e=32, vocab_buckets=100, lowercase=False)
+    cfg = FeaturizerConfig(seed=9, d_f=8, d_e=32)
     assert FeaturizerConfig.from_dict(cfg.to_dict()) == cfg
 
 
-def test_config_from_dict_rejects_string_for_bool():
-    doc = dict(FeaturizerConfig().to_dict(), lowercase="false")
-    with pytest.raises(ValueError, match="lowercase"):
+def test_config_from_dict_rejects_string_for_int():
+    doc = dict(FeaturizerConfig().to_dict(), seed="0")
+    with pytest.raises(ValueError, match="seed"):
         FeaturizerConfig.from_dict(doc)
-    with pytest.raises(ValueError, match="lowercase"):
-        FeaturizerConfig(lowercase="no")
+    with pytest.raises(ValueError, match="d_e"):
+        FeaturizerConfig(d_e="1024")
 
 
 def test_config_from_dict_rejects_fractional_integer():
@@ -84,11 +84,6 @@ def test_tokenize_empty_text_yields_sentinel():
 def test_tokenize_is_deterministic():
     text = "Pour Half a GLASS of water."
     assert tokenize(text, CFG) == tokenize(text, CFG)
-
-
-def test_tokenize_respects_lowercase_flag():
-    cfg = FeaturizerConfig(d_f=16, d_e=48, lowercase=False)
-    assert tokenize("Grab It", cfg) == ["Grab", "It"]
 
 
 @given(st.text(max_size=80))

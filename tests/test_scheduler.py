@@ -363,6 +363,17 @@ def test_one_hot_rejects_out_of_range_ids():
         one_hot([-1], 3)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+@pytest.mark.parametrize("name, call", [
+    ("d_e", lambda size: init(size, 1.0)),
+    ("new_d_k", lambda size: expand_label_space(init(2, 1.0), size)),
+    ("num_classes", lambda size: one_hot([0], size)),
+], ids=["init", "expand_label_space", "one_hot"])
+def test_sizes_must_be_integers(name, call, bad):
+    with pytest.raises(ValueError, match=name):
+        call(bad)
+
+
 # -- persistence ----------------------------------------------------------------
 
 
@@ -417,26 +428,14 @@ def _write_state(path, header, payload, *, rehash=True):
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
-def test_load_rejects_asymmetric_r(tmp_path):
-    state = _trained_state()
-    path = tmp_path / "state.json"
-    save_state(state, path)
-    header, payload = _split_state(path)
-    floats = np.frombuffer(payload, dtype="<f8").copy()
-    floats[1] += 1e-3  # R[0, 1]
-    _write_state(path, header, floats.tobytes())
-    with pytest.raises(StateFormatError, match="symmetry"):
-        load_state(path)
-
-
 @pytest.mark.parametrize(
     "index, value",
-    [(1, np.nan), (0, np.inf), (12 * 12 + 4, np.nan)],
+    [(1, np.nan), (0, np.inf), (12 * 13 // 2 + 4, np.nan)],
     ids=["nan-in-R", "inf-on-R-diagonal", "nan-in-Q"],
 )
 def test_load_rejects_non_finite_payload(tmp_path, index, value):
-    # The symmetry check passes all three (NaN compares false, inf - inf is
-    # NaN), so the state's own finiteness scan is what refuses them.
+    # Payload index 1 is R[1, 0] and 78 is where Q starts at d_e=12; the
+    # state's own finiteness scan refuses all three.
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
     header, payload = _split_state(path)
@@ -447,19 +446,20 @@ def test_load_rejects_non_finite_payload(tmp_path, index, value):
         load_state(path)
 
 
-@pytest.mark.parametrize("i, j", [(0, 129), (129, 0), (70, 5), (128, 129)])
-def test_load_finds_asymmetry_anywhere_in_r(tmp_path, i, j):
-    # d_e=130 spans three tiles of the symmetry check, the last one partial.
-    rng = np.random.default_rng(12)
-    feats, labels = _random_batch(rng, 40, 130, 2)
+def test_load_mirrors_any_stored_lower_triangle(tmp_path):
+    # Any finite triangle loads; the upper half of R is its mirror image.
+    d_e, d_k = 130, 2
     path = tmp_path / "state.json"
-    save_state(fit_base(feats, labels, gamma=0.7), path)
-    header, payload = _split_state(path)
-    floats = np.frombuffer(payload, dtype="<f8").copy()
-    floats[i * 130 + j] += 1e-6
-    _write_state(path, header, floats.tobytes())
-    with pytest.raises(StateFormatError, match="symmetry"):
-        load_state(path)
+    save_state(expand_label_space(init(d_e, 0.7), d_k), path)
+    header, _ = _split_state(path)
+    rng = np.random.default_rng(12)
+    triangle = rng.standard_normal(d_e * (d_e + 1) // 2)
+    q = rng.standard_normal((d_e, d_k))
+    _write_state(path, header, triangle.astype("<f8").tobytes() + q.astype("<f8").tobytes())
+    loaded = load_state(path)
+    assert np.array_equal(loaded.R, loaded.R.T)
+    assert np.array_equal(loaded.R[np.tril_indices(d_e)], triangle)
+    assert np.array_equal(loaded.Q, q)
 
 
 def test_load_rejects_version_mismatch(tmp_path):
@@ -497,11 +497,13 @@ def test_state_file_is_header_line_then_raw_r_and_q(tmp_path):
     save_state(state, path)
     header, payload = _split_state(path)
     assert header == {
-        "version": 2, "d_e": 12, "d_K": 3, "gamma": 0.7, "tasks_seen": 1,
-        "featurizer": state.featurizer.to_dict(), "expansion_seed": 4,
+        "version": 3, "d_e": 12, "d_K": 3, "gamma": 0.7, "tasks_seen": 1,
+        "featurizer": {"seed": 4, "d_f": 6, "d_e": 12}, "expansion_seed": 4,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    assert payload == state.R.astype("<f8").tobytes() + state.Q.astype("<f8").tobytes()
+    triangle = state.R[np.tril_indices(12)]  # row by row, up to the diagonal
+    assert payload == triangle.astype("<f8").tobytes() + state.Q.astype("<f8").tobytes()
+    assert len(payload) == 8 * (12 * 13 // 2 + 12 * 3)
 
 
 def test_load_rejects_payload_sha256_mismatch(tmp_path):
@@ -538,8 +540,11 @@ def test_load_rejects_header_longer_than_the_bound(tmp_path):
         load_state(path)
 
 
-@pytest.mark.parametrize("d_e", [12, 96])
-def test_load_rejects_version_1_json_file(tmp_path, d_e):
+@pytest.mark.parametrize("d_e, error", [
+    (12, "unsupported state version 1"),
+    (96, f"not a line of at most {HEADER_LIMIT} bytes"),
+], ids=["12", "96"])
+def test_load_rejects_version_1_json_file(tmp_path, d_e, error):
     # At d_e=96 the old one-line document is longer than the header bound.
     rng = np.random.default_rng(5)
     feats, labels = _random_batch(rng, 40, d_e, 3)
@@ -552,7 +557,20 @@ def test_load_rejects_version_1_json_file(tmp_path, d_e):
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(document, separators=(",", ":")) + "\n")
     assert (path.stat().st_size > HEADER_LIMIT) == (d_e == 96)
-    with pytest.raises(StateFormatError, match="version"):
+    with pytest.raises(StateFormatError, match=error):
+        load_state(path)
+
+
+def test_load_rejects_version_2_file(tmp_path):
+    # Version 2 stored all of R, so its payload is longer than version 3's.
+    state = _trained_state()
+    path = tmp_path / "v2.state"
+    header = {
+        "version": 2, "d_e": state.d_e, "d_K": state.d_k, "gamma": state.gamma,
+        "tasks_seen": state.tasks_seen, "featurizer": None, "expansion_seed": 4,
+    }
+    _write_state(path, header, state.R.astype("<f8").tobytes() + state.Q.astype("<f8").tobytes())
+    with pytest.raises(StateFormatError, match="unsupported state version 2"):
         load_state(path)
 
 
@@ -594,9 +612,9 @@ def test_load_rejects_string_bool_in_featurizer(tmp_path):
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
     header, payload = _split_state(path)
-    header["featurizer"]["lowercase"] = "false"
+    header["featurizer"]["seed"] = "false"
     _write_state(path, header, payload)
-    with pytest.raises(StateFormatError, match="lowercase"):
+    with pytest.raises(StateFormatError, match="seed"):
         load_state(path)
 
 
