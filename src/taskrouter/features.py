@@ -99,8 +99,9 @@ class ExpansionParams:
         Entries are N(0, 1/d_f); the same triple always yields the identical
         matrix, so states only need to persist the seed.
         """
-        if d_f <= 0 or d_e <= 0:
-            raise ValueError("d_f and d_e must be positive")
+        check_int(seed, "seed", 0, 2**64)
+        check_int(d_f, "d_f", 1)
+        check_int(d_e, "d_e", 1)
         rng = np.random.default_rng([seed, d_f, d_e])
         projection = rng.standard_normal((d_f, d_e)) / math.sqrt(d_f)
         return cls(projection=projection, seed=seed)

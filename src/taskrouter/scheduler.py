@@ -15,9 +15,10 @@ Numerical conventions, all load-bearing for the equivalence guarantees:
 * the inner (I + F R Fᵀ) system is solved through a Cholesky factorisation,
   and batches wider than ``chunk_rows`` are absorbed as successive
   sub-updates, which is exact up to rounding;
-* every change to R is a product Cᵀ C, which BLAS forms from one triangle,
-  so R stays exactly symmetric; a state file stores only R's lower
-  triangle, so a loaded R is symmetric by construction.
+* every product on R (R = Cᵀ C, R − Cᵀ C) is one BLAS ``syrk`` into R's
+  lower triangle, mirrored onto the upper one by :func:`_mirror_lower`, and
+  a state file stores only that lower triangle, so R is exactly symmetric
+  by construction, whatever kernel BLAS picks; no GEMM forms a product on R.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
+from scipy.linalg.blas import dsyrk
 
 from .atomic import write_atomic
 from .checks import check_int, check_number, is_int, json_fields
@@ -64,6 +66,12 @@ HEADER_LIMIT = 1 << 16
 
 # R's lower triangle and Q are stored as raw little-endian float64.
 _PAYLOAD_DTYPE = np.dtype("<f8")
+
+# Side of the square blocks _mirror_lower copies; a block and its transposed
+# source (2 x 128 KiB of float64) stay in cache while it is read.
+_MIRROR_BLOCK = 128
+_STRICT_UPPER = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), 1)
+_STRICT_UPPER.setflags(write=False)
 
 
 class NumericalError(RuntimeError):
@@ -129,6 +137,23 @@ def _check_finite_system(system: np.ndarray, what: str) -> None:
     # Finite features can still overflow the products that form the system.
     if not np.isfinite(system).all():
         raise NumericalError(f"{what} overflows; the feature magnitudes are pathological")
+
+
+def _mirror_lower(r: np.ndarray) -> None:
+    """Copy the lower triangle of the C-ordered square ``r`` onto its upper one, in place.
+
+    Works block by block, so each transposed read stays in cache; numpy's
+    own triangle copies walk the whole matrix with a column stride.
+    """
+    n = r.shape[0]
+    for i in range(0, n, _MIRROR_BLOCK):
+        j = min(i + _MIRROR_BLOCK, n)
+        diagonal = r[i:j, i:j]
+        # copyto sees the overlap and reads from a copy of the block.
+        np.copyto(diagonal, diagonal.T, where=_STRICT_UPPER[: j - i, : j - i])
+        for a in range(j, n, _MIRROR_BLOCK):
+            b = min(a + _MIRROR_BLOCK, n)
+            r[i:j, a:b] = r[a:b, i:j].T
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -216,16 +241,22 @@ def fit_base(
     feats = _as_feature_matrix(features)
     lab = _as_label_matrix(labels, feats.shape[0])
     d_e = feats.shape[1]
+    # FᵀF into the lower triangle of a Fortran-ordered array, the only one
+    # cho_factor reads; the upper one stays zero. feats.T is F-ordered, so
+    # BLAS reads feats without a copy.
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = feats.T @ feats + gamma * np.eye(d_e)
+        gram = dsyrk(1.0, feats.T, lower=1)
+        gram.flat[:: d_e + 1] += gamma
     _check_finite_system(gram, "regularised Gram matrix")
     try:
-        lower, _ = cho_factor(gram, lower=True)
+        lower, _ = cho_factor(gram, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"regularised Gram matrix is not factorisable: {exc}") from exc
-    # gram = L Lᵀ, so R = gram⁻¹ = Cᵀ C with C = L⁻¹.
+    # gram = L Lᵀ, so R = gram⁻¹ = Cᵀ C with C = L⁻¹. The upper triangle of
+    # the F-ordered product is the lower one of its C-ordered transpose.
     c = solve_triangular(lower, np.eye(d_e), lower=True)
-    r = c.T @ c
+    r = dsyrk(1.0, c, trans=1).T
+    _mirror_lower(r)
     q = feats.T @ lab
     w = r @ q
     _freeze(r, q, w)
@@ -254,8 +285,7 @@ def update(
     (they are zero-padded on the right); widen with
     :func:`expand_label_space` before introducing new classes.
     """
-    if chunk_rows < 1:
-        raise ValueError("chunk_rows must be positive")
+    check_int(chunk_rows, "chunk_rows", 1)
     feats = _as_feature_matrix(features)
     if feats.shape[1] != state.d_e:
         raise ValueError(
@@ -270,7 +300,8 @@ def update(
     if lab.shape[1] < state.d_k:
         lab = np.hstack([lab, np.zeros((lab.shape[0], state.d_k - lab.shape[1]))])
 
-    r = state.R
+    # One C-ordered copy per call; every chunk downdates it in place.
+    r = np.array(state.R, dtype=np.float64, order="C")
     for start in range(0, feats.shape[0], chunk_rows):
         chunk = feats[start : start + chunk_rows]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -287,11 +318,11 @@ def update(
             ) from exc
         # inner = L Lᵀ, so Bᵀ inner⁻¹ B = Cᵀ C with C = L⁻¹ B.
         c = solve_triangular(lower, b, lower=True)
-        # Subtracting into the product's buffer keeps one d_e x d_e allocation
-        # per chunk; a second one let the allocator return heap memory and
-        # fault it back in on some updates and not others.
-        downdate = c.T @ c
-        r = np.subtract(r, downdate, out=downdate)
+        # R − CᵀC into R's lower triangle, which is the upper one of the
+        # F-ordered view r.T. syrk writes into r.T's buffer unless it has to
+        # copy, so its return value, not r, holds the result either way.
+        r = dsyrk(-1.0, c, beta=1.0, c=r.T, trans=1, overwrite_c=1).T
+        _mirror_lower(r)
 
     q = state.Q + feats.T @ lab
     w = r @ q
@@ -470,8 +501,7 @@ def load_state(source: str | Path) -> SchedulerState:
 
     if digest.hexdigest() != header["payload_sha256"]:
         raise StateFormatError("state payload does not match its payload_sha256")
-    for i in range(d_e - 1):
-        r[i, i + 1 :] = r[i + 1 :, i]
+    _mirror_lower(r)
     # A non-finite payload makes R @ Q warn; it is refused below by the
     # state's own finiteness scan, so the warning would only be noise.
     with np.errstate(invalid="ignore", over="ignore"):

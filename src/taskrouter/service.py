@@ -38,7 +38,8 @@ __all__ = ["MAX_CONNECTIONS", "OUTPUT_LIMIT", "REQUEST_LINE_LIMIT", "RouteResult
 
 # Longest request line the serve loop accepts, newline included.
 REQUEST_LINE_LIMIT = 1 << 20
-# Most TCP connections served at once; one more is sent an error line and closed.
+# Most TCP connections served at once; one more is sent an error line, shut
+# down for writing and closed.
 MAX_CONNECTIONS = 64
 # Pending response bytes at which a TCP connection stops being read and answered.
 OUTPUT_LIMIT = 1 << 20
@@ -298,7 +299,12 @@ def _accept(listener: socket.socket, selector: selectors.BaseSelector) -> None:
         with sock:
             try:
                 sock.send(_TOO_MANY)  # fits the empty send buffer of a new socket
-            except OSError:
+                # Closing with unread bytes resets the connection, which can
+                # cost the client the error line: end the write side first,
+                # then drain one bounded read of what has already arrived.
+                sock.shutdown(socket.SHUT_WR)
+                sock.recv(_READ_SIZE)
+            except OSError:  # includes BlockingIOError: nothing to drain
                 pass
         return
     selector.register(sock, selectors.EVENT_READ, _Connection(sock))

@@ -191,6 +191,22 @@ def test_expansion_params_regenerate_identically():
     )
 
 
+@pytest.mark.parametrize("name, args", [
+    ("d_f", (0, True, 8)),
+    ("d_f", (0, 2.0, 8)),
+    ("d_f", (0, "2", 8)),
+    ("d_f", (0, 0, 8)),
+    ("d_e", (0, 4, 0)),
+    ("d_e", (0, 4, 8.0)),
+    ("seed", (-1, 4, 8)),
+    ("seed", (2**64, 4, 8)),
+    ("seed", (1.0, 4, 8)),
+])
+def test_expansion_params_create_names_a_bad_argument(name, args):
+    with pytest.raises(ValueError, match=name):
+        ExpansionParams.create(*args)
+
+
 def test_expansion_projection_is_frozen():
     params = ExpansionParams.create(seed=0, d_f=4, d_e=12)
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from taskrouter.scheduler import (
     NumericalError,
     SchedulerState,
     StateFormatError,
+    _mirror_lower,
     expand_label_space,
     fit_base,
     init,
@@ -226,9 +227,9 @@ def test_updates_preserve_spd_and_w_consistency():
 
 
 def test_r_is_exactly_symmetric_over_a_long_horizon():
-    # fit_base and update change R only by products Cᵀ C, which numpy hands
-    # to BLAS syrk; syrk fills both triangles from one, so R == Rᵀ bit for bit
-    # and nothing downstream re-symmetrises or re-checks it.
+    # fit_base and update form every product on R with one BLAS syrk into
+    # R's lower triangle and mirror it onto the upper one, so R == Rᵀ bit for
+    # bit and nothing downstream re-symmetrises or re-checks it.
     rng = np.random.default_rng(17)
     d_e, d_k, gamma = 16, 4, 0.5
     feats, labels = _random_batch(rng, 40, d_e, d_k)
@@ -259,6 +260,37 @@ def test_r_is_exactly_symmetric_over_a_long_horizon():
 
     want = ridge_weights(feature_batches, label_batches, gamma)
     assert np.abs(state.W - want).max() <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_mirror_lower_copies_the_lower_triangle_onto_the_upper(n):
+    r = np.random.default_rng(n).standard_normal((n, n))
+    want = np.tril(r) + np.tril(r, -1).T
+    _mirror_lower(r)
+    assert np.array_equal(r, want)
+
+
+@pytest.mark.parametrize("d_e", [2, 127, 129, 257])
+def test_r_is_exactly_symmetric_after_every_step(tmp_path, d_e):
+    # Sizes on both sides of the mirror's block edge, and batches from one row
+    # to several chunks, so each syrk kernel shape is mirrored at least once.
+    rng = np.random.default_rng(d_e)
+    d_k = 3
+    state = fit_base(*_random_batch(rng, d_e + 5, d_e, d_k), gamma=0.9)
+    assert np.array_equal(state.R, state.R.T)
+    for rows, chunk_rows in ((1, 512), (2, 512), (3, 512), (5, 512), (129, 512), (600, 256)):
+        before = state.R.copy()
+        updated = update(state, *_random_batch(rng, rows, d_e, d_k), chunk_rows=chunk_rows)
+        # syrk downdates a copy in place; the input state's R is untouched.
+        assert np.array_equal(state.R, before)
+        assert not state.R.flags.writeable
+        assert np.array_equal(updated.R, updated.R.T)
+        state = updated
+    path = tmp_path / "state.bin"
+    save_state(state, path)
+    loaded = load_state(path)
+    assert np.array_equal(loaded.R, loaded.R.T)
+    assert np.array_equal(loaded.R, state.R)
 
 
 # -- expand_label_space ------------------------------------------------------
@@ -363,12 +395,14 @@ def test_one_hot_rejects_out_of_range_ids():
         one_hot([-1], 3)
 
 
-@pytest.mark.parametrize("bad", [True, 2.0, "2"])
+@pytest.mark.parametrize("bad", [True, 2.0, 1.5, "2"])
 @pytest.mark.parametrize("name, call", [
     ("d_e", lambda size: init(size, 1.0)),
     ("new_d_k", lambda size: expand_label_space(init(2, 1.0), size)),
     ("num_classes", lambda size: one_hot([0], size)),
-], ids=["init", "expand_label_space", "one_hot"])
+    ("chunk_rows", lambda size: update(
+        expand_label_space(init(2, 1.0), 1), np.ones((1, 2)), np.ones((1, 1)), chunk_rows=size)),
+], ids=["init", "expand_label_space", "one_hot", "update"])
 def test_sizes_must_be_integers(name, call, bad):
     with pytest.raises(ValueError, match=name):
         call(bad)

@@ -16,6 +16,7 @@ import time
 import pytest
 
 import taskrouter as tr
+from taskrouter import service
 from taskrouter.cli import main
 from taskrouter.service import (
     MAX_CONNECTIONS,
@@ -267,6 +268,22 @@ def test_tcp_connection_over_the_cap_gets_an_error_line_and_eof(served_files):
         conns[0].sendall(stats)
         assert _read_lines(conns[0], 1)[0]["d_K"] == 3
     assert refused == [{"error": f"too many connections; at most {MAX_CONNECTIONS}"}]
+
+
+def test_refused_connection_that_sent_first_reads_its_error_line_and_eof(monkeypatch):
+    # A client over the cap whose request is already in the server's buffer
+    # when it is accepted: closing with unread bytes would reset it.
+    monkeypatch.setattr(service, "MAX_CONNECTIONS", 0)
+    with socket.create_server(("127.0.0.1", 0)) as listener, \
+            selectors.DefaultSelector() as selector:
+        selector.register(listener, selectors.EVENT_READ)
+        with _connect(listener.getsockname()[1]) as client:
+            client.sendall(json.dumps({"op": "stats"}).encode() + b"\n")
+            time.sleep(0.05)  # let the request reach the unaccepted socket
+            service._accept(listener, selector)
+            assert len(selector.get_map()) == 1  # not registered
+            assert _read_lines(client, 1) == [json.loads(service._TOO_MANY)]
+            assert client.recv(65536) == b""
 
 
 def test_connection_holds_back_answers_while_its_output_is_full(served_files):
