@@ -166,7 +166,7 @@ def cmd_update(args: argparse.Namespace) -> int:
         raise ValueError("state has no featurizer config; cannot featurize a text corpus")
     records = corpus_mod.read_corpus(args.corpus)
     new_class = args.new_class
-    if new_class < state.d_k and np.any(state.Q[:, new_class] != 0.0):
+    if new_class < state.d_k and np.any(state.Z[:, new_class] != 0.0):
         raise ValueError(f"class {new_class} is already trained in this state")
     rows = _train_rows(records, [new_class])
     params = ExpansionParams.for_config(state.featurizer, state.expansion_seed)

@@ -83,6 +83,7 @@ class ExpansionParams:
     seed: int
 
     def __post_init__(self) -> None:
+        check_int(self.seed, "seed", 0, 2**64)
         projection = np.asarray(self.projection, dtype=np.float64)
         if projection.ndim != 2:
             raise ValueError("projection must be a d_f x d_e matrix")

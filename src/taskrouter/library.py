@@ -117,12 +117,6 @@ class ExecutorRegistry:
         """The spec for ``task_id``, or None as the missing-task signal."""
         return self._specs.get(task_id)
 
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def __contains__(self, task_id: int) -> bool:
-        return task_id in self._specs
-
     def __iter__(self) -> Iterator[ExecutorSpec]:
         return iter(self._specs.values())
 

@@ -1,24 +1,25 @@
 """Closed-form ridge routing core with exact replay-free recursive updates.
 
-The learner keeps two sufficient statistics over expanded features: R, the
-inverse of the regularised Gram matrix, and Q, the feature/label moment
-matrix. The routing weights are always W = R Q. Absorbing a new task batch
-downdates R through the matrix-inversion lemma, so no past training row is
-ever needed again, and the sequential solution matches the joint ridge
-solution to rounding error.
+The learner keeps the regularised Gram matrix G = FᵀF + gamma I in square-root
+form: a lower-triangular factor L with L Lᵀ = G, and Z = L⁻¹ Q, where Q = FᵀY
+is the feature/label moment matrix. The routing weights are W = L⁻ᵀ Z, the
+ridge solution G⁻¹ Q. Absorbing a batch (F, Y), the base batch included, is
+one QR factorisation of [Lᵀ; F] whose reflectors are applied to [Z; Y]
+(QR-based recursive least squares), so no past training row is ever needed
+again, and the sequential solution matches the joint ridge solution to
+rounding error. R = G⁻¹ and Q are derived from L and Z when read.
 
 Numerical conventions, all load-bearing for the equivalence guarantees:
 
 * everything is float64;
-* the regulariser gamma enters exactly once, at initialisation (R0 = I/gamma);
-  updates add no fresh regularisation;
-* the inner (I + F R Fᵀ) system is solved through a Cholesky factorisation,
-  and batches wider than ``chunk_rows`` are absorbed as successive
-  sub-updates, which is exact up to rounding;
-* every product on R (R = Cᵀ C, R − Cᵀ C) is one BLAS ``syrk`` into R's
-  lower triangle, mirrored onto the upper one by :func:`_mirror_lower`, and
-  a state file stores only that lower triangle, so R is exactly symmetric
-  by construction, whatever kernel BLAS picks; no GEMM forms a product on R.
+* the regulariser gamma enters exactly once, at initialisation
+  (L0 = sqrt(gamma) I); updates add no fresh regularisation;
+* G itself is never formed, so features whose Gram matrix would overflow
+  still fit, and the error of W grows with G's condition number, not with
+  its square as it would through R; L's diagonal may carry either sign;
+* the derived R is formed by LAPACK ``potri`` into one triangle, mirrored
+  onto the other by :func:`_mirror_lower`, so it is exactly symmetric by
+  construction, whatever kernel BLAS picks.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_triangular
-from scipy.linalg.blas import dsyrk
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotri, dtpmqrt, dtpqrt
 
 from .atomic import write_atomic
 from .checks import check_int, check_number, is_int, json_fields
@@ -40,7 +41,6 @@ from .features import FeaturizerConfig
 __all__ = [
     "STATE_VERSION",
     "HEADER_LIMIT",
-    "DEFAULT_CHUNK_ROWS",
     "NumericalError",
     "StateFormatError",
     "SchedulerState",
@@ -56,15 +56,14 @@ __all__ = [
     "load_state",
 ]
 
-STATE_VERSION = 3
-DEFAULT_CHUNK_ROWS = 512
+STATE_VERSION = 4
 
 # Longest header line a state file may have, newline included. Real headers
 # are a few hundred bytes; the bound keeps a corrupt file from being read
 # whole in search of a newline.
 HEADER_LIMIT = 1 << 16
 
-# R's lower triangle and Q are stored as raw little-endian float64.
+# L's lower triangle and Z are stored as raw little-endian float64.
 _PAYLOAD_DTYPE = np.dtype("<f8")
 
 # Side of the square blocks _mirror_lower copies; a block and its transposed
@@ -73,9 +72,15 @@ _MIRROR_BLOCK = 128
 _STRICT_UPPER = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), 1)
 _STRICT_UPPER.setflags(write=False)
 
+# Block size of the QR that absorbs a batch; with a block of 1 or C-ordered
+# operands a one-row update is several times slower.
+_QR_BLOCK = 32
+
+_PATHOLOGICAL = "the Gram factor is singular or overflows; the feature batch is pathological"
+
 
 class NumericalError(RuntimeError):
-    """A Gram or inner update system overflowed or is not factorisable: pathological features."""
+    """The Gram factor overflowed or is singular: pathological features."""
 
 
 class StateFormatError(ValueError):
@@ -86,15 +91,17 @@ class StateFormatError(ValueError):
 class SchedulerState:
     """Sufficient statistics of the router plus the featurization it expects.
 
-    ``R`` (d_e x d_e) is the inverse regularised Gram matrix, ``Q``
-    (d_e x d_k) the feature/label moment matrix, and ``W = R Q`` the routing
-    weights; ``d_e`` and ``d_k`` are read from their shapes. ``featurizer``
-    and ``expansion_seed`` record how inputs must be featurized and may be
-    absent for states driven with raw feature matrices.
+    ``L`` (d_e x d_e, lower triangular) is the square root of the
+    regularised Gram matrix, ``L Lᵀ = FᵀF + gamma I``; ``Z = L⁻¹ Q``
+    (d_e x d_k) carries the feature/label moments ``Q = FᵀY``; and
+    ``W = L⁻ᵀ Z`` the routing weights. ``d_e`` and ``d_k`` are read from
+    their shapes. ``featurizer`` and ``expansion_seed`` record how inputs
+    must be featurized and may be absent for states driven with raw feature
+    matrices.
     """
 
-    R: np.ndarray
-    Q: np.ndarray
+    L: np.ndarray
+    Z: np.ndarray
     W: np.ndarray
     gamma: float
     tasks_seen: int = 0
@@ -103,11 +110,11 @@ class SchedulerState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", _as_gamma(self.gamma))
-        if self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1]:
-            raise ValueError("R must be a square matrix")
-        if self.Q.ndim != 2 or self.Q.shape[0] != self.d_e or self.W.shape != self.Q.shape:
-            raise ValueError("Q and W must have shape (d_e, d_k)")
-        for name, arr in (("R", self.R), ("Q", self.Q), ("W", self.W)):
+        if self.L.ndim != 2 or self.L.shape[0] != self.L.shape[1]:
+            raise ValueError("L must be a square matrix")
+        if self.Z.ndim != 2 or self.Z.shape[0] != self.d_e or self.W.shape != self.Z.shape:
+            raise ValueError("Z and W must have shape (d_e, d_k)")
+        for name, arr in (("L", self.L), ("Z", self.Z), ("W", self.W)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
         check_int(self.tasks_seen, "tasks_seen")
@@ -118,11 +125,30 @@ class SchedulerState:
 
     @property
     def d_e(self) -> int:
-        return self.R.shape[0]
+        return self.L.shape[0]
 
     @property
     def d_k(self) -> int:
-        return self.Q.shape[1]
+        return self.Z.shape[1]
+
+    @property
+    def R(self) -> np.ndarray:
+        """The inverse regularised Gram matrix (L Lᵀ)⁻¹, derived on each read.
+
+        LAPACK writes it into one triangle and :func:`_mirror_lower` copies
+        that onto the other, so it is exactly symmetric.
+        """
+        inverse, info = dpotri(self.L.T)
+        if info:
+            raise NumericalError("L is singular")
+        r = inverse.T
+        _mirror_lower(r)
+        return r
+
+    @property
+    def Q(self) -> np.ndarray:
+        """The feature/label moment matrix L Z, derived on each read."""
+        return self.L @ self.Z
 
 
 def _as_gamma(gamma) -> float:
@@ -131,12 +157,6 @@ def _as_gamma(gamma) -> float:
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     return gamma
-
-
-def _check_finite_system(system: np.ndarray, what: str) -> None:
-    # Finite features can still overflow the products that form the system.
-    if not np.isfinite(system).all():
-        raise NumericalError(f"{what} overflows; the feature magnitudes are pathological")
 
 
 def _mirror_lower(r: np.ndarray) -> None:
@@ -159,6 +179,36 @@ def _mirror_lower(r: np.ndarray) -> None:
 def _freeze(*arrays: np.ndarray) -> None:
     for arr in arrays:
         arr.setflags(write=False)
+
+
+def _weights(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """W = L⁻ᵀ Z by one triangular solve, C-ordered; raises LinAlgError on a zero diagonal."""
+    return np.ascontiguousarray(
+        solve_triangular(lower, z, lower=True, trans="T", check_finite=False)
+    )
+
+
+def _absorb(state: SchedulerState, feats: np.ndarray, lab: np.ndarray) -> SchedulerState:
+    """Absorb validated rows ``feats`` with labels ``lab`` (d_k columns wide).
+
+    One blocked QR of [Lᵀ; F] gives the new Lᵀ, and its reflectors carry
+    [Z; Y] to the new Z; the input state's arrays are not touched.
+    """
+    u = state.L.T.copy(order="F")
+    u, v, t, _ = dtpqrt(0, min(_QR_BLOCK, state.d_e), u, feats, overwrite_a=1)
+    z, _, _ = dtpmqrt(0, v, t, state.Z, lab, side="L", trans="T")
+    z = np.ascontiguousarray(z)
+    diagonal = u.diagonal()
+    if not (np.isfinite(diagonal).all() and diagonal.all() and np.isfinite(z).all()):
+        raise NumericalError(_PATHOLOGICAL)
+    lower = u.T
+    w = _weights(lower, z)
+    # A finite diagonal can sit beside an overflowed entry below it, which
+    # the solve carries into W.
+    if not np.isfinite(w).all():
+        raise NumericalError(_PATHOLOGICAL)
+    _freeze(lower, z, w)
+    return replace(state, L=lower, Z=z, W=w, tasks_seen=state.tasks_seen + 1)
 
 
 def _as_feature_matrix(features: np.ndarray) -> np.ndarray:
@@ -206,16 +256,16 @@ def init(
     featurizer: FeaturizerConfig | None = None,
     expansion_seed: int | None = None,
 ) -> SchedulerState:
-    """Fresh, classless state: R = I/gamma, empty Q and W."""
+    """Fresh, classless state: L = sqrt(gamma) I, empty Z and W."""
     check_int(d_e, "d_e", 1)
     gamma = _as_gamma(gamma)
-    r = np.eye(d_e) / gamma
-    q = np.zeros((d_e, 0))
+    lower = np.eye(d_e) * np.sqrt(gamma)
+    z = np.zeros((d_e, 0))
     w = np.zeros((d_e, 0))
-    _freeze(r, q, w)
+    _freeze(lower, z, w)
     return SchedulerState(
-        R=r,
-        Q=q,
+        L=lower,
+        Z=z,
         W=w,
         gamma=gamma,
         tasks_seen=0,
@@ -234,58 +284,23 @@ def fit_base(
 ) -> SchedulerState:
     """Closed-form ridge fit over the whole base batch.
 
-    W = (FᵀF + gamma I)^{-1} FᵀY; R and Q are stored so later batches can be
-    absorbed without this data.
+    W = (FᵀF + gamma I)^{-1} FᵀY, absorbed into a fresh state exactly as
+    :func:`update` absorbs later batches, so those need none of this data.
     """
-    gamma = _as_gamma(gamma)
     feats = _as_feature_matrix(features)
     lab = _as_label_matrix(labels, feats.shape[0])
-    d_e = feats.shape[1]
-    # FᵀF into the lower triangle of a Fortran-ordered array, the only one
-    # cho_factor reads; the upper one stays zero. feats.T is F-ordered, so
-    # BLAS reads feats without a copy.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = dsyrk(1.0, feats.T, lower=1)
-        gram.flat[:: d_e + 1] += gamma
-    _check_finite_system(gram, "regularised Gram matrix")
-    try:
-        lower, _ = cho_factor(gram, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"regularised Gram matrix is not factorisable: {exc}") from exc
-    # gram = L Lᵀ, so R = gram⁻¹ = Cᵀ C with C = L⁻¹. The upper triangle of
-    # the F-ordered product is the lower one of its C-ordered transpose.
-    c = solve_triangular(lower, np.eye(d_e), lower=True)
-    r = dsyrk(1.0, c, trans=1).T
-    _mirror_lower(r)
-    q = feats.T @ lab
-    w = r @ q
-    _freeze(r, q, w)
-    return SchedulerState(
-        R=r,
-        Q=q,
-        W=w,
-        gamma=gamma,
-        tasks_seen=1,
-        featurizer=featurizer,
-        expansion_seed=expansion_seed,
-    )
+    state = init(feats.shape[1], gamma, featurizer=featurizer, expansion_seed=expansion_seed)
+    return _absorb(expand_label_space(state, lab.shape[1]), feats, lab)
 
 
-def update(
-    state: SchedulerState,
-    features: np.ndarray,
-    labels: np.ndarray,
-    *,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> SchedulerState:
+def update(state: SchedulerState, features: np.ndarray, labels: np.ndarray) -> SchedulerState:
     """Absorb one task batch without touching any historical data.
 
-    R is downdated via the matrix-inversion lemma, Q accumulates FᵀY, and W
-    is recomputed as R Q. Labels may be narrower than the current class count
-    (they are zero-padded on the right); widen with
+    L and Z move to the factor and moments of the Gram matrix with the batch
+    added, and W is solved from them. Labels may be narrower than the current
+    class count (they are zero-padded on the right); widen with
     :func:`expand_label_space` before introducing new classes.
     """
-    check_int(chunk_rows, "chunk_rows", 1)
     feats = _as_feature_matrix(features)
     if feats.shape[1] != state.d_e:
         raise ValueError(
@@ -299,41 +314,13 @@ def update(
         )
     if lab.shape[1] < state.d_k:
         lab = np.hstack([lab, np.zeros((lab.shape[0], state.d_k - lab.shape[1]))])
-
-    # One C-ordered copy per call; every chunk downdates it in place.
-    r = np.array(state.R, dtype=np.float64, order="C")
-    for start in range(0, feats.shape[0], chunk_rows):
-        chunk = feats[start : start + chunk_rows]
-        with np.errstate(over="ignore", invalid="ignore"):
-            b = chunk @ r
-            # cho_factor reads only the lower triangle of the inner system.
-            inner = np.eye(chunk.shape[0]) + b @ chunk.T
-        _check_finite_system(inner, "inner update system")
-        try:
-            lower, _ = cho_factor(inner, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "inner update system is numerically singular; "
-                "the feature batch is pathological"
-            ) from exc
-        # inner = L Lᵀ, so Bᵀ inner⁻¹ B = Cᵀ C with C = L⁻¹ B.
-        c = solve_triangular(lower, b, lower=True)
-        # R − CᵀC into R's lower triangle, which is the upper one of the
-        # F-ordered view r.T. syrk writes into r.T's buffer unless it has to
-        # copy, so its return value, not r, holds the result either way.
-        r = dsyrk(-1.0, c, beta=1.0, c=r.T, trans=1, overwrite_c=1).T
-        _mirror_lower(r)
-
-    q = state.Q + feats.T @ lab
-    w = r @ q
-    _freeze(r, q, w)
-    return replace(state, R=r, Q=q, W=w, tasks_seen=state.tasks_seen + 1)
+    return _absorb(state, feats, lab)
 
 
 def expand_label_space(state: SchedulerState, new_d_k: int) -> SchedulerState:
-    """Widen Q and W with zero columns for classes not yet seen.
+    """Widen Z and W with zero columns for classes not yet seen.
 
-    R is untouched, and zero columns add zero logits, so predictions for
+    L is untouched, and zero columns add zero logits, so predictions for
     existing classes are bit-identical before and after.
     """
     check_int(new_d_k, "new_d_k")
@@ -342,10 +329,10 @@ def expand_label_space(state: SchedulerState, new_d_k: int) -> SchedulerState:
             f"new class count ({new_d_k}) must exceed the current one ({state.d_k})"
         )
     pad = np.zeros((state.d_e, new_d_k - state.d_k))
-    q = np.hstack([state.Q, pad])
+    z = np.hstack([state.Z, pad])
     w = np.hstack([state.W, pad])
-    _freeze(q, w)
-    return replace(state, Q=q, W=w)
+    _freeze(z, w)
+    return replace(state, Z=z, W=w)
 
 
 def predict_proba(state: SchedulerState, expanded: np.ndarray) -> np.ndarray:
@@ -377,16 +364,16 @@ def predict(state: SchedulerState, expanded: np.ndarray):
     return np.argmax(probs, axis=1)
 
 
-def _parts(r: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
-    """The payload in file order, as views: each row of R up to its diagonal, then Q."""
-    return [r[i, : i + 1] for i in range(r.shape[0])] + [q.reshape(-1)]
+def _parts(lower: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
+    """The payload in file order, as views: each row of L up to its diagonal, then Z."""
+    return [lower[i, : i + 1] for i in range(lower.shape[0])] + [z.reshape(-1)]
 
 
 def _payload(state: SchedulerState) -> list[np.ndarray]:
-    """The state's payload parts, copied only if R or Q is not C-ordered little-endian float64."""
+    """The state's payload parts, copied only if L or Z is not C-ordered little-endian float64."""
     return _parts(
-        np.ascontiguousarray(state.R, dtype=_PAYLOAD_DTYPE),
-        np.ascontiguousarray(state.Q, dtype=_PAYLOAD_DTYPE),
+        np.ascontiguousarray(state.L, dtype=_PAYLOAD_DTYPE),
+        np.ascontiguousarray(state.Z, dtype=_PAYLOAD_DTYPE),
     )
 
 
@@ -411,10 +398,10 @@ def save_state(state: SchedulerState, destination: str | Path) -> None:
 
     The header holds ``version``, ``d_e``, ``d_K``, ``gamma``,
     ``tasks_seen``, ``featurizer``, ``expansion_seed`` and the payload's
-    ``payload_sha256``. The payload is each row of R up to its diagonal
-    (``R[i, :i+1]``, row by row), then Q (d_e x d_K) in C order, as raw
-    little-endian float64. R is symmetric, so its upper triangle is not
-    stored, and W is not stored either; both are derived on load. Equal
+    ``payload_sha256``. The payload is each row of L up to its diagonal
+    (``L[i, :i+1]``, row by row), then Z (d_e x d_K) in C order, as raw
+    little-endian float64. L's upper triangle is zero, so it is not stored,
+    and W is not stored either; it is solved from L and Z on load. Equal
     states give equal bytes, so a save/load/save cycle is byte-identical,
     and the file is replaced atomically.
     """
@@ -474,10 +461,10 @@ def load_state(source: str | Path) -> SchedulerState:
 
     The payload must be exactly as long as the header's shapes require and
     match its sha256, and every other field passes the state's own checks,
-    whose ``ValueError`` becomes a :class:`StateFormatError`. R's stored
-    lower triangle is mirrored into its upper one, so R is symmetric by
-    construction. R and Q are read into freshly allocated, aligned,
-    read-only arrays.
+    whose ``ValueError`` becomes a :class:`StateFormatError`. L and Z are
+    read into freshly allocated, aligned, read-only arrays, L's upper
+    triangle left zero, and W is solved from them as :func:`update` solves
+    it, so a loaded state's W is bit-identical to the saved one's.
     """
     with open(source, "rb") as handle:
         header = _read_header(handle)
@@ -489,29 +476,30 @@ def load_state(source: str | Path) -> SchedulerState:
                 f"state payload is {size} bytes, expected {expected} "
                 f"for d_e={d_e}, d_K={d_k}"
             )
-        # readinto fresh arrays keeps R and Q aligned; a view into the file's
-        # bytes at the header's length would not be, and slows every x @ R.
-        r = np.empty((d_e, d_e), dtype=_PAYLOAD_DTYPE)
-        q = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
+        # readinto fresh arrays keeps L and Z aligned; a view into the file's
+        # bytes at the header's length would not be, and slows every solve.
+        lower = np.zeros((d_e, d_e), dtype=_PAYLOAD_DTYPE)
+        z = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
         digest = hashlib.sha256()
-        for part in _parts(r, q):
+        for part in _parts(lower, z):
             if handle.readinto(part) != part.nbytes:
                 raise StateFormatError("state payload is truncated")
             digest.update(part)
 
     if digest.hexdigest() != header["payload_sha256"]:
         raise StateFormatError("state payload does not match its payload_sha256")
-    _mirror_lower(r)
-    # A non-finite payload makes R @ Q warn; it is refused below by the
-    # state's own finiteness scan, so the warning would only be noise.
-    with np.errstate(invalid="ignore", over="ignore"):
-        w = r @ q
-    _freeze(r, q, w)
+    # A non-finite payload solves to a non-finite W without a warning; the
+    # state's own finiteness scan refuses it below.
+    try:
+        w = _weights(lower, z)
+    except np.linalg.LinAlgError as exc:
+        raise StateFormatError(f"stored L is singular: {exc}") from exc
+    _freeze(lower, z, w)
     featurizer = header["featurizer"]
     try:
         return SchedulerState(
-            R=r,
-            Q=q,
+            L=lower,
+            Z=z,
             W=w,
             gamma=header["gamma"],
             tasks_seen=header["tasks_seen"],

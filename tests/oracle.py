@@ -2,9 +2,9 @@
 
 Everything here is written straight from the closed-form ridge formulation
 and imports nothing from ``taskrouter``: the package maintains these
-quantities through Cholesky factorisations and rank-N downdates, the oracle
-recomputes them densely with a plain LU solve, so the two paths share no
-code.
+quantities through QR updates of the Gram matrix's square-root factor, the
+oracle recomputes them densely with a plain LU solve, so the two paths share
+no code.
 """
 
 from __future__ import annotations

@@ -207,6 +207,12 @@ def test_expansion_params_create_names_a_bad_argument(name, args):
         ExpansionParams.create(*args)
 
 
+@pytest.mark.parametrize("seed", ["x", True, -1, 1.0, 2**64, 2**70])
+def test_expansion_params_refuse_a_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        ExpansionParams(np.ones((2, 3)), seed=seed)
+
+
 def test_expansion_projection_is_frozen():
     params = ExpansionParams.create(seed=0, d_f=4, d_e=12)
     with pytest.raises(ValueError):

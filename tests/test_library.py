@@ -46,8 +46,8 @@ def test_duplicate_registration_rejected():
 
 def test_registry_counts_ten_tasks():
     registry = ExecutorRegistry(_spec(i) for i in range(10))
-    assert len(registry) == 10
-    assert all(i in registry for i in range(10))
+    assert [spec.task_id for spec in registry] == list(range(10))
+    assert all(registry.lookup(i) is not None for i in range(10))
 
 
 def test_lookup_unknown_task_signals_missing():

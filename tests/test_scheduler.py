@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def _logit_state(logit_rows: np.ndarray) -> SchedulerState:
     w = np.asarray(logit_rows, dtype=np.float64)
     d_e = w.shape[0]
     return SchedulerState(
-        R=np.eye(d_e), Q=w, W=w, gamma=1.0, tasks_seen=1
+        L=np.eye(d_e), Z=w, W=w, gamma=1.0, tasks_seen=1
     )
 
 
@@ -52,13 +53,15 @@ def _logit_state(logit_rows: np.ndarray) -> SchedulerState:
 
 def test_init_identity_for_unit_gamma():
     state = init(2, 1.0)
+    assert np.array_equal(state.L, np.eye(2))
     assert np.array_equal(state.R, np.eye(2))
-    assert state.Q.shape == (2, 0) and state.W.shape == (2, 0)
+    assert state.Z.shape == (2, 0) and state.Q.shape == (2, 0) and state.W.shape == (2, 0)
     assert state.d_k == 0 and state.tasks_seen == 0
 
 
 def test_init_scales_inverse_of_gamma():
     state = init(2, 4.0)
+    assert np.array_equal(state.L, np.diag([2.0, 2.0]))
     assert np.array_equal(state.R, np.diag([0.25, 0.25]))
 
 
@@ -160,31 +163,41 @@ def test_update_accepts_narrower_labels():
     state = fit_base(np.eye(3), one_hot([0, 1, 2], 3), gamma=1.0)
     updated = update(state, np.eye(3), one_hot([0, 0, 0], 1))
     assert updated.d_k == 3
-    assert np.array_equal(updated.Q[:, 1:], state.Q[:, 1:])
+    # Q is derived as L Z, so the untouched columns agree to rounding.
+    assert np.abs(updated.Q[:, 1:] - np.eye(3)[:, 1:]).max() <= 1e-12
 
 
 def test_update_flags_pathological_inner_system():
-    # A hand-built negative-definite R makes the inner system indefinite.
+    # A hand-built L with a zero on its diagonal is singular. A row that is
+    # zero in that column leaves the zero in place, and update refuses it.
     broken = SchedulerState(
-        R=-np.eye(2), Q=np.zeros((2, 1)), W=np.zeros((2, 1)),
+        L=np.diag([0.0, 1.0]), Z=np.zeros((2, 1)), W=np.zeros((2, 1)),
         gamma=1.0, tasks_seen=1,
     )
     with pytest.raises(NumericalError):
-        update(broken, np.array([[2.0, 0.0]]), np.array([[1.0]]))
+        update(broken, np.array([[0.0, 2.0]]), np.array([[1.0]]))
+    with pytest.raises(NumericalError, match="singular"):
+        broken.R
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e155, 1e160])
 @pytest.mark.parametrize("step", ["fit_base", "update"])
 def test_overflowing_features_raise_numerical_error(step, scale):
-    # The features are finite, but the Gram matrix (fit_base) or the inner
-    # system (update) they form is not; no numpy or scipy error may escape.
+    # Features at this scale overflow their Gram matrix, which is never
+    # formed, so they fit with finite weights. Features whose column norms
+    # overflow raise NumericalError. No numpy or scipy error or warning may
+    # escape either way.
     feats, labels = _random_batch(np.random.default_rng(3), 20, 8, 3)
-    with pytest.raises(NumericalError, match="overflows"):
+
+    def absorb(rows, row_labels):
         if step == "fit_base":
-            fit_base(feats * scale, labels, gamma=1.0)
-        else:
-            update(fit_base(feats, labels, gamma=1.0), feats * scale, labels)
+            return fit_base(rows, row_labels, gamma=1.0)
+        return update(fit_base(feats, labels, gamma=1.0), rows, row_labels)
+
+    assert np.isfinite(absorb(feats * scale, labels).W).all()
+    with pytest.raises(NumericalError, match="overflows"):
+        absorb(np.full((2, 8), 1.5e308), labels[:2])
 
 
 @settings(max_examples=25, deadline=None)
@@ -198,7 +211,9 @@ def test_update_chunking_is_exact(n_rows, cut, seed):
     feats, labels = _random_batch(rng, n_rows, 12, 3)
     base = expand_label_space(init(12, 1.0), 3)
     whole = update(base, feats, labels)
-    chunked = update(base, feats, labels, chunk_rows=max(1, min(cut, n_rows)))
+    chunked = base
+    for start in range(0, n_rows, cut):
+        chunked = update(chunked, feats[start : start + cut], labels[start : start + cut])
     assert np.abs(whole.W - chunked.W).max() <= 1e-8
     assert np.abs(whole.R - chunked.R).max() <= 1e-8
 
@@ -227,9 +242,9 @@ def test_updates_preserve_spd_and_w_consistency():
 
 
 def test_r_is_exactly_symmetric_over_a_long_horizon():
-    # fit_base and update form every product on R with one BLAS syrk into
-    # R's lower triangle and mirror it onto the upper one, so R == Rᵀ bit for
-    # bit and nothing downstream re-symmetrises or re-checks it.
+    # R is derived by LAPACK into one triangle and mirrored onto the other,
+    # so R == Rᵀ bit for bit after any number of updates, and nothing
+    # downstream re-symmetrises or re-checks it.
     rng = np.random.default_rng(17)
     d_e, d_k, gamma = 16, 4, 0.5
     feats, labels = _random_batch(rng, 40, d_e, d_k)
@@ -237,9 +252,9 @@ def test_r_is_exactly_symmetric_over_a_long_horizon():
     assert np.array_equal(state.R, state.R.T)
     feature_batches, label_batches = [feats], [labels]
 
-    def absorb(feats, labels, **kwargs):
+    def absorb(feats, labels):
         nonlocal state
-        state = update(state, feats, labels, **kwargs)
+        state = update(state, feats, labels)
         assert np.array_equal(state.R, state.R.T)
         feature_batches.append(feats)
         label_batches.append(labels)
@@ -253,10 +268,11 @@ def test_r_is_exactly_symmetric_over_a_long_horizon():
         else:
             row = anchor + 1e-7 * rng.standard_normal((1, d_e))  # near-collinear
         absorb(row, one_hot(rng.integers(0, d_k, 1), d_k))
-    for chunk_rows in (1, 3, 64):
+    for rows in (1, 3, 64):
         feats, labels = _random_batch(rng, 20, d_e, d_k)
         feats[7] = feats[6]
-        absorb(feats, labels, chunk_rows=chunk_rows)
+        for start in range(0, 20, rows):
+            absorb(feats[start : start + rows], labels[start : start + rows])
 
     want = ridge_weights(feature_batches, label_batches, gamma)
     assert np.abs(state.W - want).max() <= 1e-8
@@ -273,24 +289,73 @@ def test_mirror_lower_copies_the_lower_triangle_onto_the_upper(n):
 @pytest.mark.parametrize("d_e", [2, 127, 129, 257])
 def test_r_is_exactly_symmetric_after_every_step(tmp_path, d_e):
     # Sizes on both sides of the mirror's block edge, and batches from one row
-    # to several chunks, so each syrk kernel shape is mirrored at least once.
+    # to several QR blocks; the last three absorb 600 rows in three calls.
     rng = np.random.default_rng(d_e)
     d_k = 3
     state = fit_base(*_random_batch(rng, d_e + 5, d_e, d_k), gamma=0.9)
     assert np.array_equal(state.R, state.R.T)
-    for rows, chunk_rows in ((1, 512), (2, 512), (3, 512), (5, 512), (129, 512), (600, 256)):
-        before = state.R.copy()
-        updated = update(state, *_random_batch(rng, rows, d_e, d_k), chunk_rows=chunk_rows)
-        # syrk downdates a copy in place; the input state's R is untouched.
-        assert np.array_equal(state.R, before)
-        assert not state.R.flags.writeable
+    for rows in (1, 2, 3, 5, 129, 256, 256, 88):
+        before = state.L.copy()
+        updated = update(state, *_random_batch(rng, rows, d_e, d_k))
+        # The QR factors a copy; the input state's L is untouched.
+        assert np.array_equal(state.L, before)
+        assert not state.L.flags.writeable
         assert np.array_equal(updated.R, updated.R.T)
         state = updated
     path = tmp_path / "state.bin"
     save_state(state, path)
     loaded = load_state(path)
+    for name in ("L", "Z", "W", "R", "Q"):
+        assert np.array_equal(getattr(loaded, name), getattr(state, name)), name
     assert np.array_equal(loaded.R, loaded.R.T)
-    assert np.array_equal(loaded.R, state.R)
+
+
+def _exact_ridge_weights(batches, gamma: float) -> np.ndarray:
+    """(Σ FᵀF + gamma I)⁻¹ Σ FᵀY in exact rational arithmetic, rounded once to float64."""
+    d = batches[0][0].shape[1]
+    k = batches[0][1].shape[1]
+    # Each row of the augmented system [G | Q], in Fractions.
+    system = [[Fraction(gamma) if j == i else Fraction(0) for j in range(d + k)]
+              for i in range(d)]
+    for feats, labels in batches:
+        for row, label in zip(feats.tolist(), labels.tolist()):
+            x = [Fraction(v) for v in row]
+            y = [Fraction(v) for v in label]
+            for i in range(d):
+                system[i] = [s + x[i] * v for s, v in zip(system[i], x + y)]
+    # G is positive definite, so elimination needs no pivoting.
+    for col in range(d):
+        pivot = system[col]
+        for r in range(col + 1, d):
+            m = system[r][col] / pivot[col]
+            system[r] = [a - m * b for a, b in zip(system[r], pivot)]
+    w = [[Fraction(0)] * k for _ in range(d)]
+    for i in reversed(range(d)):
+        for c in range(k):
+            rest = sum(system[i][j] * w[j][c] for j in range(i + 1, d))
+            w[i][c] = (system[i][d + c] - rest) / system[i][i]
+    return np.array([[float(v) for v in row] for row in w])
+
+
+def test_fit_then_update_matches_exact_arithmetic():
+    # Ill-conditioned sweeps: with fewer rows than features, the Gram
+    # matrix's condition number reaches scale² / gamma, up to about 1e15.
+    rng = np.random.default_rng(2024)
+    off = []
+    for case in range(100):
+        d = int(rng.integers(2, 12))
+        gamma = float(10 ** rng.uniform(-6, 6))
+        scale = float(10 ** rng.uniform(-4, 4))
+        batches = []
+        for _ in range(2):
+            n = int(rng.integers(1, d + 1))
+            batches.append((scale * rng.standard_normal((n, d)), one_hot(rng.integers(0, 3, n), 3)))
+        w = update(fit_base(*batches[0], gamma), *batches[1]).W
+        want = _exact_ridge_weights(batches, gamma)
+        error = float(np.abs(w - want).max() / np.abs(want).max())
+        if error > 1e-8:
+            off.append((case, d, gamma, scale, error))
+    assert not off, off
 
 
 # -- expand_label_space ------------------------------------------------------
@@ -306,6 +371,7 @@ def test_expand_keeps_old_logits_bit_identical():
     new_logits = probe @ wider.W
     assert np.array_equal(new_logits[:2], old_logits)
     assert new_logits[2] == 0.0
+    assert np.array_equal(wider.L, state.L)
     assert np.array_equal(wider.R, state.R)
 
 
@@ -315,7 +381,8 @@ def test_expand_then_update_new_class_leaves_old_q_columns():
     state = expand_label_space(fit_base(feats, labels, gamma=1.0), 3)
     new_feats = rng.standard_normal((10, 8))
     updated = update(state, new_feats, one_hot([2] * 10, 3))
-    assert np.array_equal(updated.Q[:, :2], state.Q[:, :2])
+    # Q is derived as L Z, so the old columns agree to rounding.
+    assert np.abs(updated.Q[:, :2] - state.Q[:, :2]).max() <= 1e-12 * np.abs(state.Q).max()
 
 
 def test_expand_rejects_non_growth():
@@ -400,9 +467,7 @@ def test_one_hot_rejects_out_of_range_ids():
     ("d_e", lambda size: init(size, 1.0)),
     ("new_d_k", lambda size: expand_label_space(init(2, 1.0), size)),
     ("num_classes", lambda size: one_hot([0], size)),
-    ("chunk_rows", lambda size: update(
-        expand_label_space(init(2, 1.0), 1), np.ones((1, 2)), np.ones((1, 1)), chunk_rows=size)),
-], ids=["init", "expand_label_space", "one_hot", "update"])
+], ids=["init", "expand_label_space", "one_hot"])
 def test_sizes_must_be_integers(name, call, bad):
     with pytest.raises(ValueError, match=name):
         call(bad)
@@ -423,9 +488,8 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "state.json"
     save_state(state, path)
     loaded = load_state(path)
-    assert np.array_equal(loaded.R, state.R)
-    assert np.array_equal(loaded.Q, state.Q)
-    assert np.array_equal(loaded.W, state.W)
+    for name in ("L", "Z", "W", "R", "Q"):
+        assert np.array_equal(getattr(loaded, name), getattr(state, name)), name
     assert loaded.gamma == state.gamma
     assert loaded.d_e == state.d_e and loaded.d_k == state.d_k
     assert loaded.tasks_seen == state.tasks_seen
@@ -447,7 +511,9 @@ def test_load_untrained_state_document(tmp_path):
     save_state(init(3, 2.0), path)
     loaded = load_state(path)
     assert loaded.d_k == 0 and loaded.tasks_seen == 0
-    assert np.array_equal(loaded.R, np.eye(3) / 2.0)
+    assert np.array_equal(loaded.L, np.eye(3) * np.sqrt(2.0))
+    # R is 1 / sqrt(2)² on the diagonal, rounded.
+    assert np.allclose(loaded.R, np.eye(3) / 2.0, rtol=1e-15, atol=0.0)
 
 
 def _split_state(path):
@@ -468,8 +534,8 @@ def _write_state(path, header, payload, *, rehash=True):
     ids=["nan-in-R", "inf-on-R-diagonal", "nan-in-Q"],
 )
 def test_load_rejects_non_finite_payload(tmp_path, index, value):
-    # Payload index 1 is R[1, 0] and 78 is where Q starts at d_e=12; the
-    # state's own finiteness scan refuses all three.
+    # Payload index 1 is L[1, 0], 0 is L[0, 0] and 78 is where Z starts at
+    # d_e=12; the state's own finiteness scan refuses all three.
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
     header, payload = _split_state(path)
@@ -481,19 +547,32 @@ def test_load_rejects_non_finite_payload(tmp_path, index, value):
 
 
 def test_load_mirrors_any_stored_lower_triangle(tmp_path):
-    # Any finite triangle loads; the upper half of R is its mirror image.
+    # Any finite triangle with a nonzero diagonal loads as L, whose upper half
+    # is zero; the R derived from it is its own mirror image.
     d_e, d_k = 130, 2
     path = tmp_path / "state.json"
     save_state(expand_label_space(init(d_e, 0.7), d_k), path)
     header, _ = _split_state(path)
     rng = np.random.default_rng(12)
     triangle = rng.standard_normal(d_e * (d_e + 1) // 2)
-    q = rng.standard_normal((d_e, d_k))
-    _write_state(path, header, triangle.astype("<f8").tobytes() + q.astype("<f8").tobytes())
+    z = rng.standard_normal((d_e, d_k))
+    _write_state(path, header, triangle.astype("<f8").tobytes() + z.astype("<f8").tobytes())
     loaded = load_state(path)
+    assert np.array_equal(loaded.L[np.tril_indices(d_e)], triangle)
+    assert not np.triu(loaded.L, 1).any()
+    assert np.array_equal(loaded.Z, z)
     assert np.array_equal(loaded.R, loaded.R.T)
-    assert np.array_equal(loaded.R[np.tril_indices(d_e)], triangle)
-    assert np.array_equal(loaded.Q, q)
+
+
+def test_load_rejects_a_singular_l(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    floats = np.frombuffer(payload, dtype="<f8").copy()
+    floats[2] = 0.0  # L[1, 1]
+    _write_state(path, header, floats.tobytes())
+    with pytest.raises(StateFormatError, match="singular"):
+        load_state(path)
 
 
 def test_load_rejects_version_mismatch(tmp_path):
@@ -526,17 +605,18 @@ def test_load_rejects_missing_keys(tmp_path):
 
 
 def test_state_file_is_header_line_then_raw_r_and_q(tmp_path):
+    # Version 4: the raw payload is L's lower triangle, then Z.
     state = _trained_state()
     path = tmp_path / "state.json"
     save_state(state, path)
     header, payload = _split_state(path)
     assert header == {
-        "version": 3, "d_e": 12, "d_K": 3, "gamma": 0.7, "tasks_seen": 1,
+        "version": 4, "d_e": 12, "d_K": 3, "gamma": 0.7, "tasks_seen": 1,
         "featurizer": {"seed": 4, "d_f": 6, "d_e": 12}, "expansion_seed": 4,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    triangle = state.R[np.tril_indices(12)]  # row by row, up to the diagonal
-    assert payload == triangle.astype("<f8").tobytes() + state.Q.astype("<f8").tobytes()
+    triangle = state.L[np.tril_indices(12)]  # row by row, up to the diagonal
+    assert payload == triangle.astype("<f8").tobytes() + state.Z.astype("<f8").tobytes()
     assert len(payload) == 8 * (12 * 13 // 2 + 12 * 3)
 
 
@@ -545,7 +625,7 @@ def test_load_rejects_payload_sha256_mismatch(tmp_path):
     save_state(_trained_state(), path)
     header, payload = _split_state(path)
     flipped = bytearray(payload)
-    flipped[-1] ^= 1  # lowest mantissa bit of Q's last entry
+    flipped[-1] ^= 1  # lowest mantissa bit of Z's last entry
     _write_state(path, header, bytes(flipped), rehash=False)
     with pytest.raises(StateFormatError, match="sha256"):
         load_state(path)
@@ -596,7 +676,7 @@ def test_load_rejects_version_1_json_file(tmp_path, d_e, error):
 
 
 def test_load_rejects_version_2_file(tmp_path):
-    # Version 2 stored all of R, so its payload is longer than version 3's.
+    # Version 2 stored all of R, so its payload is longer than version 4's.
     state = _trained_state()
     path = tmp_path / "v2.state"
     header = {
@@ -608,11 +688,24 @@ def test_load_rejects_version_2_file(tmp_path):
         load_state(path)
 
 
+def test_load_rejects_version_3_file(tmp_path):
+    # Version 3 stored R's lower triangle and Q, as many bytes as version 4.
+    state = _trained_state()
+    path = tmp_path / "v3.state"
+    save_state(state, path)
+    header, _ = _split_state(path)
+    header["version"] = 3
+    triangle = state.R[np.tril_indices(state.d_e)]
+    _write_state(path, header, triangle.astype("<f8").tobytes() + state.Q.astype("<f8").tobytes())
+    with pytest.raises(StateFormatError, match="unsupported state version 3"):
+        load_state(path)
+
+
 def test_loaded_arrays_are_contiguous_aligned_and_read_only(tmp_path):
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
     loaded = load_state(path)
-    for arr in (loaded.R, loaded.Q, loaded.W):
+    for arr in (loaded.L, loaded.Z, loaded.W):
         assert arr.flags.c_contiguous and arr.flags.aligned
         assert not arr.flags.writeable
 
