@@ -197,6 +197,8 @@ def _absorb(state: SchedulerState, feats: np.ndarray, lab: np.ndarray) -> Schedu
     u = state.L.T.copy(order="F")
     u, v, t, _ = dtpqrt(0, min(_QR_BLOCK, state.d_e), u, feats, overwrite_a=1)
     z, _, _ = dtpmqrt(0, v, t, state.Z, lab, side="L", trans="T")
+    # C order, as load_state reads it, so a loaded state's derived Q is
+    # formed from the same layouts and matches bit for bit.
     z = np.ascontiguousarray(z)
     diagonal = u.diagonal()
     if not (np.isfinite(diagonal).all() and diagonal.all() and np.isfinite(z).all()):
