@@ -16,16 +16,7 @@ from .evaluation import (
     forgetting_rate,
     run_protocol,
 )
-from .features import (
-    ExpansionParams,
-    FeaturizerConfig,
-    embed_sequence,
-    expand,
-    featurize_batch,
-    featurize_one,
-    mean_pool,
-    tokenize,
-)
+from .features import ExpansionParams, FeaturizerConfig, featurize_batch
 from .library import (
     ActionChunk,
     ExecutorRegistry,
@@ -71,19 +62,15 @@ __all__ = [
     "StateFormatError",
     "average_accuracy",
     "baseline_sequential",
-    "embed_sequence",
     "execute",
-    "expand",
     "expand_label_space",
     "featurize_batch",
-    "featurize_one",
     "fit_base",
     "forgetting_rate",
     "generate_synthetic_corpus",
     "init",
     "load_manifest",
     "load_state",
-    "mean_pool",
     "one_hot",
     "predict",
     "predict_proba",
@@ -91,7 +78,6 @@ __all__ = [
     "run_protocol",
     "save_manifest",
     "save_state",
-    "tokenize",
     "update",
     "write_corpus",
 ]

@@ -138,20 +138,32 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
+def _learn(args, state, records, classes: Sequence[int], destination: str | Path) -> int:
+    """The learning step of train-base and update: absorb, save, print a summary.
+
+    The train rows of ``classes`` are featurized with the state's own
+    featurizer, the label space widens to cover them, and one
+    :func:`scheduler.update` absorbs them.
+    """
+    rows = _train_rows(records, classes)
+    params = ExpansionParams.for_config(state.featurizer, state.expansion_seed)
+    features = featurize_batch([r.text for r in rows], state.featurizer, params)
+    if max(classes) + 1 > state.d_k:
+        state = scheduler.expand_label_space(state, max(classes) + 1)
+    labels = scheduler.one_hot([r.task_id for r in rows], state.d_k)
+    state = scheduler.update(state, features, labels)
+    scheduler.save_state(state, destination)
+    print(json.dumps({"state": args.state_out, "d_K": state.d_k, "rows": len(rows)}))
+    return 0
+
+
 def cmd_train_base(args: argparse.Namespace) -> int:
     records = corpus_mod.read_corpus(args.corpus)
     classes = _parse_classes(args.classes)
-    rows = _train_rows(records, classes)
     config = _featurizer_from(args)
-    params = ExpansionParams.for_config(config)
-    features = featurize_batch([r.text for r in rows], config, params)
-    labels = scheduler.one_hot([r.task_id for r in rows], max(classes) + 1)
-    state = scheduler.fit_base(
-        features, labels, args.gamma, featurizer=config, expansion_seed=params.seed
-    )
-    scheduler.save_state(state, args.state_out)
-    print(json.dumps({"state": args.state_out, "d_K": state.d_k, "rows": len(rows)}))
-    return 0
+    # A fresh state plus one update is exactly scheduler.fit_base.
+    state = scheduler.init(config.d_e, args.gamma, featurizer=config, expansion_seed=config.seed)
+    return _learn(args, state, records, classes, args.state_out)
 
 
 def cmd_update(args: argparse.Namespace) -> int:
@@ -168,16 +180,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     new_class = args.new_class
     if new_class < state.d_k and np.any(state.Z[:, new_class] != 0.0):
         raise ValueError(f"class {new_class} is already trained in this state")
-    rows = _train_rows(records, [new_class])
-    params = ExpansionParams.for_config(state.featurizer, state.expansion_seed)
-    features = featurize_batch([r.text for r in rows], state.featurizer, params)
-    if new_class + 1 > state.d_k:
-        state = scheduler.expand_label_space(state, new_class + 1)
-    labels = scheduler.one_hot([new_class] * len(rows), state.d_k)
-    state = scheduler.update(state, features, labels)
-    scheduler.save_state(state, state_out)
-    print(json.dumps({"state": args.state_out, "d_K": state.d_k, "rows": len(rows)}))
-    return 0
+    return _learn(args, state, records, [new_class], state_out)
 
 
 def cmd_route(args: argparse.Namespace) -> int:

@@ -23,7 +23,6 @@ __all__ = [
     "InstructionRecord",
     "ClassTheme",
     "THEMES",
-    "template_capacity",
     "generate_synthetic_corpus",
     "write_corpus",
     "read_corpus",
@@ -169,13 +168,6 @@ def _enumerate_templates(theme: ClassTheme) -> list[str]:
             seen.add(text)
             texts.append(text)
     return texts
-
-
-def template_capacity(class_id: int) -> int:
-    """Number of distinct instructions class ``class_id`` can produce."""
-    if not 0 <= class_id < len(THEMES):
-        raise ValueError(f"no theme for class {class_id} (have {len(THEMES)})")
-    return len(_enumerate_templates(THEMES[class_id]))
 
 
 def generate_synthetic_corpus(

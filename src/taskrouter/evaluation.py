@@ -19,7 +19,7 @@ import numpy as np
 from .checks import check_int
 from .corpus import InstructionRecord
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
-from .scheduler import expand_label_space, fit_base, one_hot, predict, update
+from .scheduler import _softmax, expand_label_space, fit_base, one_hot, predict, update
 
 __all__ = [
     "PhasePlan",
@@ -347,10 +347,3 @@ def baseline_sequential(
     )
     report.final_weights = weights
     return report
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    out = np.exp(shifted)
-    out /= out.sum(axis=1, keepdims=True)
-    return out

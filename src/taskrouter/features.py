@@ -30,7 +30,6 @@ __all__ = [
     "embed_sequence",
     "mean_pool",
     "expand",
-    "featurize_one",
     "featurize_batch",
 ]
 
@@ -183,28 +182,17 @@ def expand(pooled: np.ndarray, params: ExpansionParams) -> np.ndarray:
     return np.maximum(pooled @ params.projection, 0.0)
 
 
-def _check_pipeline(config: FeaturizerConfig, params: ExpansionParams) -> None:
-    if (params.d_f, params.d_e) != (config.d_f, config.d_e):
-        raise ValueError(
-            f"expansion params are {params.d_f}x{params.d_e} but the config "
-            f"expects {config.d_f}x{config.d_e}"
-        )
-
-
-def featurize_one(
-    text: str, config: FeaturizerConfig, params: ExpansionParams
-) -> np.ndarray:
-    """Full pipeline for one instruction; row 0 of :func:`featurize_batch`."""
-    return featurize_batch([text], config, params)[0]
-
-
 def featurize_batch(
     texts: Sequence[str], config: FeaturizerConfig, params: ExpansionParams
 ) -> np.ndarray:
     """Featurize many instructions; row i belongs to texts[i]."""
     if not texts:
         raise ValueError("at least one text is required")
-    _check_pipeline(config, params)
+    if (params.d_f, params.d_e) != (config.d_f, config.d_e):
+        raise ValueError(
+            f"expansion params are {params.d_f}x{params.d_e} but the config "
+            f"expects {config.d_f}x{config.d_e}"
+        )
     out = np.empty((len(texts), config.d_e), dtype=np.float64)
     for i, text in enumerate(texts):
         out[i] = expand(

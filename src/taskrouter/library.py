@@ -91,14 +91,6 @@ class ActionChunk:
             raise ValueError("actions must be finite")
         object.__setattr__(self, "actions", actions)
 
-    @property
-    def horizon(self) -> int:
-        return self.actions.shape[0]
-
-    @property
-    def action_dim(self) -> int:
-        return self.actions.shape[1]
-
 
 class ExecutorRegistry:
     """Immutable-after-construction mapping from task id to executor spec."""

@@ -66,12 +66,6 @@ HEADER_LIMIT = 1 << 16
 # L's lower triangle and Z are stored as raw little-endian float64.
 _PAYLOAD_DTYPE = np.dtype("<f8")
 
-# Side of the square blocks _mirror_lower copies; a block and its transposed
-# source (2 x 128 KiB of float64) stay in cache while it is read.
-_MIRROR_BLOCK = 128
-_STRICT_UPPER = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), 1)
-_STRICT_UPPER.setflags(write=False)
-
 # Block size of the QR that absorbs a batch; with a block of 1 or C-ordered
 # operands a one-row update is several times slower.
 _QR_BLOCK = 32
@@ -136,7 +130,8 @@ class SchedulerState:
         """The inverse regularised Gram matrix (L Lᵀ)⁻¹, derived on each read.
 
         LAPACK writes it into one triangle and :func:`_mirror_lower` copies
-        that onto the other, so it is exactly symmetric.
+        that onto the other, so it is exactly symmetric. Tests and checks
+        derive it; no routing or update path reads it.
         """
         inverse, info = dpotri(self.L.T)
         if info:
@@ -160,20 +155,9 @@ def _as_gamma(gamma) -> float:
 
 
 def _mirror_lower(r: np.ndarray) -> None:
-    """Copy the lower triangle of the C-ordered square ``r`` onto its upper one, in place.
-
-    Works block by block, so each transposed read stays in cache; numpy's
-    own triangle copies walk the whole matrix with a column stride.
-    """
-    n = r.shape[0]
-    for i in range(0, n, _MIRROR_BLOCK):
-        j = min(i + _MIRROR_BLOCK, n)
-        diagonal = r[i:j, i:j]
-        # copyto sees the overlap and reads from a copy of the block.
-        np.copyto(diagonal, diagonal.T, where=_STRICT_UPPER[: j - i, : j - i])
-        for a in range(j, n, _MIRROR_BLOCK):
-            b = min(a + _MIRROR_BLOCK, n)
-            r[i:j, a:b] = r[a:b, i:j].T
+    """Copy the lower triangle of the square ``r`` onto its upper one, in place."""
+    for i in range(r.shape[0] - 1):
+        r[i, i + 1:] = r[i + 1:, i]
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -351,11 +335,16 @@ def predict_proba(state: SchedulerState, expanded: np.ndarray) -> np.ndarray:
     mat = np.atleast_2d(x)
     if mat.shape[1] != state.d_e:
         raise ValueError(f"expected feature width {state.d_e}, got {mat.shape[1]}")
-    logits = mat @ state.W
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = _softmax(mat @ state.W)
     return probs[0] if single else probs
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a logit matrix, max-subtracted so huge logits cannot overflow."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def predict(state: SchedulerState, expanded: np.ndarray):

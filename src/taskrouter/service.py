@@ -29,7 +29,7 @@ import numpy as np
 
 from . import library
 from .checks import json_fields
-from .features import ExpansionParams, featurize_one
+from .features import ExpansionParams, featurize_batch
 from .library import ExecutorRegistry, Observation
 from .scheduler import SchedulerState, load_state, payload_sha256, predict_proba
 
@@ -108,7 +108,7 @@ class Router:
     def route(self, text: str) -> RouteResult:
         """Featurize, pick the most probable task, and run its executor if any."""
         start = time.perf_counter()
-        vector = featurize_one(text, self.state.featurizer, self.params)
+        vector = featurize_batch([text], self.state.featurizer, self.params)[0]
         probs = predict_proba(self.state, vector)
         task_id = int(np.argmax(probs))
         spec = self.registry.lookup(task_id)

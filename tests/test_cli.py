@@ -146,6 +146,45 @@ def test_train_base_names_missing_class(workdir, capsys, tmp_path):
     assert "99" in json.loads(err.strip())["error"]
 
 
+def test_train_base_and_update_write_what_the_library_steps_write(workdir, capsys, tmp_path):
+    # Both commands run one learning step. train-base must write the bytes of
+    # fit_base plus save_state on the same rows, with the classes out of
+    # order, and update those of expand_label_space (when the class is new to
+    # the label space) plus update.
+    corpus = workdir / "corpus.jsonl"
+    records = tr.read_corpus(corpus)
+    config = tr.FeaturizerConfig(seed=SEED, d_f=D_F, d_e=D_E)
+    params = tr.ExpansionParams.for_config(config)
+
+    def rows_of(classes):
+        rows = [r for c in classes for r in records if r.task_id == c and r.split == "train"]
+        return tr.featurize_batch([r.text for r in rows], config, params), [r.task_id for r in rows]
+
+    def expect_same(cli_out, state):
+        tr.save_state(state, tmp_path / "expected.state")
+        assert cli_out.read_bytes() == (tmp_path / "expected.state").read_bytes()
+
+    base = tmp_path / "base310.state"
+    code, _, _ = _run(capsys, ["train-base", "--corpus", str(corpus), "--classes", "3,1,0",
+                               "--state-out", str(base), "--d-e", str(D_E),
+                               "--d-f", str(D_F), "--seed", str(SEED)])
+    assert code == 0
+    features, ids = rows_of([3, 1, 0])
+    expect_same(base, tr.fit_base(features, tr.one_hot(ids, 4), 1.0,
+                                  featurizer=config, expansion_seed=SEED))
+
+    for state_in, new_class in ((workdir / "base.json", 3), (base, 2)):
+        out = tmp_path / f"plus{new_class}.state"
+        code, _, _ = _run(capsys, ["update", "--state", str(state_in), "--corpus", str(corpus),
+                                   "--new-class", str(new_class), "--state-out", str(out)])
+        assert code == 0
+        state = tr.load_state(state_in)
+        if new_class >= state.d_k:
+            state = tr.expand_label_space(state, new_class + 1)
+        features, ids = rows_of([new_class])
+        expect_same(out, tr.update(state, features, tr.one_hot(ids, state.d_k)))
+
+
 # -- update --------------------------------------------------------------------
 
 

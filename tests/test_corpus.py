@@ -12,7 +12,6 @@ from taskrouter.corpus import (
     InstructionRecord,
     generate_synthetic_corpus,
     read_corpus,
-    template_capacity,
     write_corpus,
 )
 
@@ -44,7 +43,8 @@ def test_split_is_stratified_per_class():
 
 
 def test_capacity_overflow_is_rejected():
-    too_many = template_capacity(0) + 1
+    # Class 0's templates yield 4,320 distinct instructions.
+    too_many = 4321
     with pytest.raises(ValueError, match="unique instructions"):
         generate_synthetic_corpus(2, too_many, seed=0)
 

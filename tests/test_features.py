@@ -14,10 +14,11 @@ from taskrouter.features import (
     embed_sequence,
     expand,
     featurize_batch,
-    featurize_one,
     mean_pool,
     tokenize,
 )
+from taskrouter.scheduler import fit_base, one_hot, predict_proba
+from taskrouter.service import Router
 
 CFG = FeaturizerConfig(seed=0, d_f=16, d_e=48)
 
@@ -258,4 +259,20 @@ def test_featurize_batch_rejects_empty_input_and_bad_params():
         featurize_batch([], CFG, params)
     wrong = ExpansionParams.create(0, CFG.d_f + 1, CFG.d_e)
     with pytest.raises(ValueError):
-        featurize_one("text", CFG, wrong)
+        featurize_batch(["text"], CFG, wrong)
+
+
+def test_one_text_alone_equals_its_row_in_a_batch_and_routes_by_it():
+    # Router.route featurizes a text as a batch of one. That row must equal
+    # the text's row in any larger batch, bit for bit, and the probabilities
+    # route reports must be predict_proba of it.
+    params = ExpansionParams.for_config(CFG)
+    texts = ["stack the cans", "", "Shelve the NOVEL, please!", "rinse the bottle",
+             "ünïcödé  tëxt", "stack the cans", "lift " * 50]
+    batch = featurize_batch(texts, CFG, params)
+    state = fit_base(batch, one_hot([0, 1, 2, 0, 1, 0, 2], 3), 1.0,
+                     featurizer=CFG, expansion_seed=CFG.seed)
+    router = Router(state)
+    for text, row in zip(texts, batch):
+        assert np.array_equal(featurize_batch([text], CFG, params)[0], row)
+        assert router.route(text).probabilities == predict_proba(state, row).tolist()

@@ -546,7 +546,7 @@ def test_load_rejects_non_finite_payload(tmp_path, index, value):
         load_state(path)
 
 
-def test_load_mirrors_any_stored_lower_triangle(tmp_path):
+def test_load_reads_any_stored_lower_triangle(tmp_path):
     # Any finite triangle with a nonzero diagonal loads as L, whose upper half
     # is zero; the R derived from it is its own mirror image.
     d_e, d_k = 130, 2
@@ -604,7 +604,7 @@ def test_load_rejects_missing_keys(tmp_path):
             load_state(path)
 
 
-def test_state_file_is_header_line_then_raw_r_and_q(tmp_path):
+def test_state_file_is_header_line_then_l_triangle_and_z(tmp_path):
     # Version 4: the raw payload is L's lower triangle, then Z.
     state = _trained_state()
     path = tmp_path / "state.json"
