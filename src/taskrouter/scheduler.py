@@ -9,6 +9,10 @@ one QR factorisation of [Lᵀ; F] whose reflectors are applied to [Z; Y]
 again, and the sequential solution matches the joint ridge solution to
 rounding error. R = G⁻¹ and Q are derived from L and Z when read.
 
+SciPy's LAPACK wrappers are imported only where a state is factored: in the
+absorb step and in the derived R. Loading a state reads W back from the file
+instead of solving for it, so loading and routing need numpy alone.
+
 Numerical conventions, all load-bearing for the equivalence guarantees:
 
 * everything is float64;
@@ -31,8 +35,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotri, dtpmqrt, dtpqrt
 
 from .atomic import write_atomic
 from .checks import check_int, check_number, is_int, json_fields
@@ -56,14 +58,14 @@ __all__ = [
     "load_state",
 ]
 
-STATE_VERSION = 4
+STATE_VERSION = 5
 
 # Longest header line a state file may have, newline included. Real headers
 # are a few hundred bytes; the bound keeps a corrupt file from being read
 # whole in search of a newline.
 HEADER_LIMIT = 1 << 16
 
-# L's lower triangle and Z are stored as raw little-endian float64.
+# L's lower triangle, Z and W are stored as raw little-endian float64.
 _PAYLOAD_DTYPE = np.dtype("<f8")
 
 # Block size of the QR that absorbs a batch; with a block of 1 or C-ordered
@@ -133,6 +135,8 @@ class SchedulerState:
         that onto the other, so it is exactly symmetric. Tests and checks
         derive it; no routing or update path reads it.
         """
+        from scipy.linalg.lapack import dpotri
+
         inverse, info = dpotri(self.L.T)
         if info:
             raise NumericalError("L is singular")
@@ -165,19 +169,16 @@ def _freeze(*arrays: np.ndarray) -> None:
         arr.setflags(write=False)
 
 
-def _weights(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """W = L⁻ᵀ Z by one triangular solve, C-ordered; raises LinAlgError on a zero diagonal."""
-    return np.ascontiguousarray(
-        solve_triangular(lower, z, lower=True, trans="T", check_finite=False)
-    )
-
-
 def _absorb(state: SchedulerState, feats: np.ndarray, lab: np.ndarray) -> SchedulerState:
     """Absorb validated rows ``feats`` with labels ``lab`` (d_k columns wide).
 
     One blocked QR of [Lᵀ; F] gives the new Lᵀ, and its reflectors carry
-    [Z; Y] to the new Z; the input state's arrays are not touched.
+    [Z; Y] to the new Z; W = L⁻ᵀ Z is then one triangular solve, C-ordered.
+    The input state's arrays are not touched.
     """
+    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dtpmqrt, dtpqrt
+
     u = state.L.T.copy(order="F")
     u, v, t, _ = dtpqrt(0, min(_QR_BLOCK, state.d_e), u, feats, overwrite_a=1)
     z, _, _ = dtpmqrt(0, v, t, state.Z, lab, side="L", trans="T")
@@ -188,7 +189,9 @@ def _absorb(state: SchedulerState, feats: np.ndarray, lab: np.ndarray) -> Schedu
     if not (np.isfinite(diagonal).all() and diagonal.all() and np.isfinite(z).all()):
         raise NumericalError(_PATHOLOGICAL)
     lower = u.T
-    w = _weights(lower, z)
+    w = np.ascontiguousarray(
+        solve_triangular(lower, z, lower=True, trans="T", check_finite=False)
+    )
     # A finite diagonal can sit beside an overflowed entry below it, which
     # the solve carries into W.
     if not np.isfinite(w).all():
@@ -355,16 +358,15 @@ def predict(state: SchedulerState, expanded: np.ndarray):
     return np.argmax(probs, axis=1)
 
 
-def _parts(lower: np.ndarray, z: np.ndarray) -> list[np.ndarray]:
-    """The payload in file order, as views: each row of L up to its diagonal, then Z."""
-    return [lower[i, : i + 1] for i in range(lower.shape[0])] + [z.reshape(-1)]
+def _parts(lower: np.ndarray, z: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
+    """The payload in file order, as views: each row of L up to its diagonal, then Z, then W."""
+    return [lower[i, : i + 1] for i in range(lower.shape[0])] + [z.reshape(-1), w.reshape(-1)]
 
 
 def _payload(state: SchedulerState) -> list[np.ndarray]:
-    """The state's payload parts, copied only if L or Z is not C-ordered little-endian float64."""
+    """The state's payload parts, copied only if L, Z or W is not C-ordered little-endian float64."""
     return _parts(
-        np.ascontiguousarray(state.L, dtype=_PAYLOAD_DTYPE),
-        np.ascontiguousarray(state.Z, dtype=_PAYLOAD_DTYPE),
+        *(np.ascontiguousarray(arr, dtype=_PAYLOAD_DTYPE) for arr in (state.L, state.Z, state.W))
     )
 
 
@@ -390,9 +392,10 @@ def save_state(state: SchedulerState, destination: str | Path) -> None:
     The header holds ``version``, ``d_e``, ``d_K``, ``gamma``,
     ``tasks_seen``, ``featurizer``, ``expansion_seed`` and the payload's
     ``payload_sha256``. The payload is each row of L up to its diagonal
-    (``L[i, :i+1]``, row by row), then Z (d_e x d_K) in C order, as raw
-    little-endian float64. L's upper triangle is zero, so it is not stored,
-    and W is not stored either; it is solved from L and Z on load. Equal
+    (``L[i, :i+1]``, row by row), then Z and then W (each d_e x d_K, C
+    order), as raw little-endian float64. L's upper triangle is zero, so it
+    is not stored. W is stored although L and Z determine it, so that a
+    loading process need not solve for it, nor import SciPy to do so. Equal
     states give equal bytes, so a save/load/save cycle is byte-identical,
     and the file is replaced atomically.
     """
@@ -452,39 +455,39 @@ def load_state(source: str | Path) -> SchedulerState:
 
     The payload must be exactly as long as the header's shapes require and
     match its sha256, and every other field passes the state's own checks,
-    whose ``ValueError`` becomes a :class:`StateFormatError`. L and Z are
-    read into freshly allocated, aligned, read-only arrays, L's upper
-    triangle left zero, and W is solved from them as :func:`update` solves
-    it, so a loaded state's W is bit-identical to the saved one's.
+    whose ``ValueError`` becomes a :class:`StateFormatError`, and L may
+    have no zero on its diagonal. L, Z and W are read into freshly
+    allocated, aligned, read-only arrays, L's upper triangle left zero, so a
+    loaded state's W is the saved one's, bit for bit. Only numpy is used.
     """
     with open(source, "rb") as handle:
         header = _read_header(handle)
         d_e, d_k = header["d_e"], header["d_K"]
-        expected = _PAYLOAD_DTYPE.itemsize * (d_e * (d_e + 1) // 2 + d_e * d_k)
+        expected = _PAYLOAD_DTYPE.itemsize * (d_e * (d_e + 1) // 2 + 2 * d_e * d_k)
         size = os.fstat(handle.fileno()).st_size - handle.tell()
         if size != expected:
             raise StateFormatError(
                 f"state payload is {size} bytes, expected {expected} "
                 f"for d_e={d_e}, d_K={d_k}"
             )
-        # readinto fresh arrays keeps L and Z aligned; a view into the file's
-        # bytes at the header's length would not be, and slows every solve.
+        # readinto fresh arrays keeps L, Z and W aligned; a view into the
+        # file's bytes at the header's length would not be, and slows every
+        # product with them.
         lower = np.zeros((d_e, d_e), dtype=_PAYLOAD_DTYPE)
         z = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
+        w = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
         digest = hashlib.sha256()
-        for part in _parts(lower, z):
+        for part in _parts(lower, z, w):
             if handle.readinto(part) != part.nbytes:
                 raise StateFormatError("state payload is truncated")
             digest.update(part)
 
     if digest.hexdigest() != header["payload_sha256"]:
         raise StateFormatError("state payload does not match its payload_sha256")
-    # A non-finite payload solves to a non-finite W without a warning; the
-    # state's own finiteness scan refuses it below.
-    try:
-        w = _weights(lower, z)
-    except np.linalg.LinAlgError as exc:
-        raise StateFormatError(f"stored L is singular: {exc}") from exc
+    # A NaN is nonzero, so a non-finite diagonal passes here; the state's own
+    # finiteness scan refuses it below.
+    if not lower.diagonal().all():
+        raise StateFormatError("stored L is singular: a zero on its diagonal")
     _freeze(lower, z, w)
     featurizer = header["featurizer"]
     try:

@@ -530,12 +530,13 @@ def _write_state(path, header, payload, *, rehash=True):
 
 @pytest.mark.parametrize(
     "index, value",
-    [(1, np.nan), (0, np.inf), (12 * 13 // 2 + 4, np.nan)],
-    ids=["nan-in-R", "inf-on-R-diagonal", "nan-in-Q"],
+    [(1, np.nan), (0, np.inf), (12 * 13 // 2 + 4, np.nan), (12 * 13 // 2 + 12 * 3 + 4, np.nan)],
+    ids=["nan-in-L", "inf-on-L-diagonal", "nan-in-Z", "nan-in-W"],
 )
 def test_load_rejects_non_finite_payload(tmp_path, index, value):
-    # Payload index 1 is L[1, 0], 0 is L[0, 0] and 78 is where Z starts at
-    # d_e=12; the state's own finiteness scan refuses all three.
+    # Payload index 1 is L[1, 0], 0 is L[0, 0], 78 is where Z starts and 114
+    # where W starts at d_e=12, d_K=3; the state's own finiteness scan
+    # refuses all four.
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
     header, payload = _split_state(path)
@@ -556,11 +557,13 @@ def test_load_reads_any_stored_lower_triangle(tmp_path):
     rng = np.random.default_rng(12)
     triangle = rng.standard_normal(d_e * (d_e + 1) // 2)
     z = rng.standard_normal((d_e, d_k))
-    _write_state(path, header, triangle.astype("<f8").tobytes() + z.astype("<f8").tobytes())
+    w = rng.standard_normal((d_e, d_k))
+    _write_state(path, header, b"".join(a.astype("<f8").tobytes() for a in (triangle, z, w)))
     loaded = load_state(path)
     assert np.array_equal(loaded.L[np.tril_indices(d_e)], triangle)
     assert not np.triu(loaded.L, 1).any()
     assert np.array_equal(loaded.Z, z)
+    assert np.array_equal(loaded.W, w)
     assert np.array_equal(loaded.R, loaded.R.T)
 
 
@@ -605,19 +608,19 @@ def test_load_rejects_missing_keys(tmp_path):
 
 
 def test_state_file_is_header_line_then_l_triangle_and_z(tmp_path):
-    # Version 4: the raw payload is L's lower triangle, then Z.
+    # Version 5: the raw payload is L's lower triangle, then Z, then W.
     state = _trained_state()
     path = tmp_path / "state.json"
     save_state(state, path)
     header, payload = _split_state(path)
     assert header == {
-        "version": 4, "d_e": 12, "d_K": 3, "gamma": 0.7, "tasks_seen": 1,
+        "version": 5, "d_e": 12, "d_K": 3, "gamma": 0.7, "tasks_seen": 1,
         "featurizer": {"seed": 4, "d_f": 6, "d_e": 12}, "expansion_seed": 4,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     triangle = state.L[np.tril_indices(12)]  # row by row, up to the diagonal
-    assert payload == triangle.astype("<f8").tobytes() + state.Z.astype("<f8").tobytes()
-    assert len(payload) == 8 * (12 * 13 // 2 + 12 * 3)
+    assert payload == b"".join(a.astype("<f8").tobytes() for a in (triangle, state.Z, state.W))
+    assert len(payload) == 8 * (12 * 13 // 2 + 2 * 12 * 3)
 
 
 def test_load_rejects_payload_sha256_mismatch(tmp_path):
@@ -625,7 +628,7 @@ def test_load_rejects_payload_sha256_mismatch(tmp_path):
     save_state(_trained_state(), path)
     header, payload = _split_state(path)
     flipped = bytearray(payload)
-    flipped[-1] ^= 1  # lowest mantissa bit of Z's last entry
+    flipped[-1] ^= 1  # lowest mantissa bit of W's last entry
     _write_state(path, header, bytes(flipped), rehash=False)
     with pytest.raises(StateFormatError, match="sha256"):
         load_state(path)
@@ -676,7 +679,7 @@ def test_load_rejects_version_1_json_file(tmp_path, d_e, error):
 
 
 def test_load_rejects_version_2_file(tmp_path):
-    # Version 2 stored all of R, so its payload is longer than version 4's.
+    # Version 2 stored all of R, so its payload is longer than version 5's.
     state = _trained_state()
     path = tmp_path / "v2.state"
     header = {
@@ -698,6 +701,19 @@ def test_load_rejects_version_3_file(tmp_path):
     triangle = state.R[np.tril_indices(state.d_e)]
     _write_state(path, header, triangle.astype("<f8").tobytes() + state.Q.astype("<f8").tobytes())
     with pytest.raises(StateFormatError, match="unsupported state version 3"):
+        load_state(path)
+
+
+def test_load_rejects_version_4_file(tmp_path):
+    # Version 4 stored L's lower triangle and Z, and solved W from them on load.
+    state = _trained_state()
+    path = tmp_path / "v4.state"
+    save_state(state, path)
+    header, _ = _split_state(path)
+    header["version"] = 4
+    triangle = state.L[np.tril_indices(state.d_e)]
+    _write_state(path, header, triangle.astype("<f8").tobytes() + state.Z.astype("<f8").tobytes())
+    with pytest.raises(StateFormatError, match="unsupported state version 4"):
         load_state(path)
 
 

@@ -379,3 +379,38 @@ def test_requests_refuse_unknown_keys(served_files, request_doc, key):
     router = Router.from_files(served_files["state"], served_files["registry"])
     response = router.handle_request_line(json.dumps(request_doc))
     assert set(response) == {"error"} and key in response["error"]
+
+
+# A None entry in sys.modules makes every import of that module fail.
+_SCIPY_BLOCKED = ("import sys; sys.modules['scipy'] = None; "
+                  "from taskrouter.cli import main; sys.exit(main())")
+
+
+def test_route_and_serve_run_with_scipy_blocked(served_files):
+    # Loading a state reads W back instead of solving for it, so the read
+    # path needs numpy alone.
+    files = ["--state", str(served_files["state"]), "--registry", str(served_files["registry"])]
+    text = "please pick up the ripe banana"
+    router = Router.from_files(served_files["state"], served_files["registry"])
+    expected = router.route(text).to_json_dict()
+    del expected["latency_micros"]
+    blocked = [sys.executable, "-c", _SCIPY_BLOCKED]
+    routed = subprocess.run(blocked + ["route", *files, text],
+                            capture_output=True, timeout=120)
+    assert routed.returncode == 0, routed.stderr
+    assert _without_latency(routed.stdout) == [expected]
+    requests = json.dumps({"op": "route", "text": text}) + "\n" + json.dumps({"op": "stats"}) + "\n"
+    served = subprocess.run(blocked + ["serve", *files], input=requests.encode(),
+                            capture_output=True, timeout=120)
+    assert served.returncode == 0, served.stderr
+    assert _without_latency(served.stdout) == [expected, router.stats()]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, taskrouter.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
