@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n-classes", type=int, default=10)
     gen.add_argument("--per-class", type=int, default=102)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--train-fraction", type=float, default=0.8)
     gen.add_argument("--force", action="store_true", help="overwrite an existing file")
     gen.set_defaults(func=cmd_gen_corpus)
 
@@ -126,9 +125,7 @@ def _train_rows(records, classes: Sequence[int]):
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    records = corpus_mod.generate_synthetic_corpus(
-        args.n_classes, args.per_class, args.seed, train_fraction=args.train_fraction
-    )
+    records = corpus_mod.generate_synthetic_corpus(args.n_classes, args.per_class, args.seed)
     corpus_mod.write_corpus(records, args.corpus, force=args.force)
     print(json.dumps({
         "corpus": args.corpus,

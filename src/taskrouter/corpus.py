@@ -23,6 +23,7 @@ __all__ = [
     "InstructionRecord",
     "ClassTheme",
     "THEMES",
+    "TRAIN_FRACTION",
     "generate_synthetic_corpus",
     "write_corpus",
     "read_corpus",
@@ -152,6 +153,9 @@ THEMES: tuple[ClassTheme, ...] = (
     ),
 )
 
+# Share of each class's sampled instructions marked "train".
+TRAIN_FRACTION = 0.8
+
 _PREFIXES = ("", "please ", "could you ", "now ")
 _SUFFIXES = ("", " for me", " right away", " carefully", " slowly", " gently")
 
@@ -170,29 +174,19 @@ def _enumerate_templates(theme: ClassTheme) -> list[str]:
     return texts
 
 
-def generate_synthetic_corpus(
-    n_classes: int,
-    per_class: int,
-    seed: int,
-    *,
-    train_fraction: float = 0.8,
-) -> list[InstructionRecord]:
+def generate_synthetic_corpus(n_classes: int, per_class: int, seed: int) -> list[InstructionRecord]:
     """Deterministically sample a labelled, split-annotated instruction corpus.
 
-    Every class contributes exactly ``per_class`` unique instructions, the
-    first round(train_fraction * per_class) of each class's sample order
-    marked "train" and the rest "test" (both splits always non-empty).
+    ``n_classes`` (2 to the number of themes), ``per_class`` (at least 10)
+    and ``seed`` are integers, not bools. Every class contributes exactly
+    ``per_class`` unique instructions: the first
+    round(TRAIN_FRACTION * per_class) of each class's sample order are marked
+    "train" and the rest "test", so with at least 10 per class both splits
+    hold at least two.
     """
-    if n_classes < 2:
-        raise ValueError("n_classes must be at least 2")
-    if per_class < 10:
-        raise ValueError("per_class must be at least 10")
-    if n_classes > len(THEMES):
-        raise ValueError(
-            f"only {len(THEMES)} class themes are defined, asked for {n_classes}"
-        )
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+    check_int(n_classes, "n_classes", 2, len(THEMES) + 1)
+    check_int(per_class, "per_class", 10)
+    check_int(seed, "seed")
 
     records: list[InstructionRecord] = []
     for class_id in range(n_classes):
@@ -204,8 +198,7 @@ def generate_synthetic_corpus(
             )
         rng = np.random.default_rng([seed, class_id])
         order = rng.permutation(len(texts))[:per_class]
-        n_train = int(round(per_class * train_fraction))
-        n_train = min(max(n_train, 1), per_class - 1)
+        n_train = int(round(per_class * TRAIN_FRACTION))
         for rank, text_idx in enumerate(order):
             records.append(
                 InstructionRecord(

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import check_int
+from .checks import check_int, check_number
 from .corpus import InstructionRecord
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
 from .scheduler import _softmax, expand_label_space, fit_base, one_hot, predict, update
@@ -24,8 +24,6 @@ from .scheduler import _softmax, expand_label_space, fit_base, one_hot, predict,
 __all__ = [
     "PhasePlan",
     "EvalReport",
-    "average_accuracy",
-    "forgetting_rate",
     "run_protocol",
     "baseline_sequential",
 ]
@@ -124,24 +122,6 @@ def _display_name(phase_name: str) -> str:
     if phase_name.startswith("il_"):
         return f"IL Phase {phase_name[3:]}"
     return phase_name
-
-
-def average_accuracy(per_phase: Sequence[float]) -> float:
-    """Arithmetic mean of the per-phase cumulative accuracies."""
-    values = list(per_phase)
-    if not values:
-        raise ValueError("need at least one phase accuracy")
-    if any(not 0.0 <= v <= 100.0 for v in values):
-        raise ValueError("accuracies must lie in [0, 100]")
-    return float(sum(values) / len(values))
-
-
-def forgetting_rate(acc_task1_initial: float, acc_task1_now: float) -> float:
-    """Accuracy drop on the first task; negative when accuracy improved."""
-    for value in (acc_task1_initial, acc_task1_now):
-        if not 0.0 <= value <= 100.0:
-            raise ValueError("accuracies must lie in [0, 100]")
-    return acc_task1_initial - acc_task1_now
 
 
 def _index_by_class(
@@ -263,8 +243,8 @@ def _run_phases(
         classes_per_phase=classes_per_phase,
         per_phase_accuracy=accuracies,
         task1_accuracy=task1,
-        per_phase_forgetting=[forgetting_rate(task1[0], t) for t in task1],
-        average_accuracy=average_accuracy(accuracies),
+        per_phase_forgetting=[task1[0] - t for t in task1],
+        average_accuracy=sum(accuracies) / len(accuracies),
         confusion=confusions,
         training_reads={
             "rows": int(train_rows.size),
@@ -327,8 +307,9 @@ def baseline_sequential(
     classes degrade as later ones arrive. Evaluation mirrors
     :func:`run_protocol` exactly, through the same phase loop.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    check_int(steps, "steps")
+    if check_number(learning_rate, "learning_rate") < 0.0:
+        raise ValueError(f"learning_rate must not be negative, got {learning_rate!r}")
     weights = np.zeros((config.d_e, 0))
 
     def train(x: np.ndarray, targets: np.ndarray, _seed: int):

@@ -286,9 +286,8 @@ def update(state: SchedulerState, features: np.ndarray, labels: np.ndarray) -> S
     """Absorb one task batch without touching any historical data.
 
     L and Z move to the factor and moments of the Gram matrix with the batch
-    added, and W is solved from them. Labels may be narrower than the current
-    class count (they are zero-padded on the right); widen with
-    :func:`expand_label_space` before introducing new classes.
+    added, and W is solved from them. Labels must be exactly d_K wide; widen
+    the state with :func:`expand_label_space` before introducing new classes.
     """
     feats = _as_feature_matrix(features)
     if feats.shape[1] != state.d_e:
@@ -302,7 +301,7 @@ def update(state: SchedulerState, features: np.ndarray, labels: np.ndarray) -> S
             f"{state.d_k}; call expand_label_space first"
         )
     if lab.shape[1] < state.d_k:
-        lab = np.hstack([lab, np.zeros((lab.shape[0], state.d_k - lab.shape[1]))])
+        raise ValueError(f"labels cover {lab.shape[1]} classes, state expects {state.d_k}")
     return _absorb(state, feats, lab)
 
 

@@ -12,9 +12,22 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-import taskrouter as tr
 from oracle import gram_form_step, ridge_objective, ridge_weights
 from taskrouter.cli import main
+from taskrouter.corpus import generate_synthetic_corpus, write_corpus
+from taskrouter.evaluation import PhasePlan, baseline_sequential, run_protocol
+from taskrouter.features import ExpansionParams, FeaturizerConfig, featurize_batch
+from taskrouter.library import ExecutorRegistry, ExecutorSpec, Observation, execute
+from taskrouter.scheduler import (
+    expand_label_space,
+    fit_base,
+    init,
+    load_state,
+    one_hot,
+    predict,
+    save_state,
+    update,
+)
 
 RECURSION_TOL = 1e-8
 SYMMETRY_TOL = 1e-9
@@ -44,18 +57,18 @@ def _make_trial(d_e: int, rep: int) -> Trial:
     for _ in range(n_batches):
         n = int(rng.integers(10, 201))
         feats = rng.standard_normal((n, d_e))
-        labels = tr.one_hot(rng.integers(0, d_k, n), d_k)
+        labels = one_hot(rng.integers(0, d_k, n), d_k)
         batches.append((feats, labels))
     return Trial(d_e=d_e, gamma=gamma, batches=batches)
 
 
 def _run_recursion(trial: Trial) -> None:
     d_k = trial.batches[0][1].shape[1]
-    state = tr.expand_label_space(tr.init(trial.d_e, trial.gamma), d_k)
+    state = expand_label_space(init(trial.d_e, trial.gamma), d_k)
     track_spd = trial.d_e <= 64
     for feats, labels in trial.batches:
         w_old = state.W
-        state = tr.update(state, feats, labels)
+        state = update(state, feats, labels)
         alt = gram_form_step(state.R, w_old, feats, labels)
         trial.gram_form_dev = max(trial.gram_form_dev, float(np.abs(alt - state.W).max()))
         if track_spd:
@@ -95,11 +108,11 @@ def test_acceptance_order_and_chunk_invariance(trials):
     for i, trial in enumerate(all_trials):
         rng = np.random.default_rng([404, i])
         d_k = trial.batches[0][1].shape[1]
-        base = tr.expand_label_space(tr.init(trial.d_e, trial.gamma), d_k)
+        base = expand_label_space(init(trial.d_e, trial.gamma), d_k)
 
         permuted = base
         for j in rng.permutation(len(trial.batches)):
-            permuted = tr.update(permuted, *trial.batches[j])
+            permuted = update(permuted, *trial.batches[j])
         worst_order = max(
             worst_order, float(np.abs(permuted.W - trial.w_recursive).max())
         )
@@ -107,8 +120,8 @@ def test_acceptance_order_and_chunk_invariance(trials):
         split = base
         for feats, labels in trial.batches:
             cut = int(rng.integers(1, feats.shape[0]))
-            split = tr.update(split, feats[:cut], labels[:cut])
-            split = tr.update(split, feats[cut:], labels[cut:])
+            split = update(split, feats[:cut], labels[:cut])
+            split = update(split, feats[cut:], labels[cut:])
         worst_chunk = max(
             worst_chunk, float(np.abs(split.W - trial.w_recursive).max())
         )
@@ -143,9 +156,9 @@ def test_acceptance_ridge_optimality():
     """No +-1e-3 perturbation of the fitted W lowers the ridge objective."""
     rng = np.random.default_rng(55)
     feats = rng.standard_normal((40, 8))
-    labels = tr.one_hot(rng.integers(0, 3, 40), 3)
+    labels = one_hot(rng.integers(0, 3, 40), 3)
     gamma = 0.7
-    state = tr.fit_base(feats, labels, gamma)
+    state = fit_base(feats, labels, gamma)
     base_obj = ridge_objective(state.W, feats, labels, gamma)
     for _ in range(100):
         direction = rng.standard_normal(state.W.shape)
@@ -163,16 +176,16 @@ def test_acceptance_ridge_optimality():
 
 @pytest.fixture(scope="module")
 def protocol():
-    corpus = tr.generate_synthetic_corpus(10, 102, seed=0)
-    plan = tr.PhasePlan(base_classes=(0, 1, 2, 3, 4),
-                        incremental_classes=(5, 6, 7, 8, 9))
-    config = tr.FeaturizerConfig(seed=0, d_f=64, d_e=1024)
+    corpus = generate_synthetic_corpus(10, 102, seed=0)
+    plan = PhasePlan(base_classes=(0, 1, 2, 3, 4),
+                     incremental_classes=(5, 6, 7, 8, 9))
+    config = FeaturizerConfig(seed=0, d_f=64, d_e=1024)
     start = perf_counter()
-    router_report = tr.run_protocol(corpus, plan, config, gamma=1.0)
-    baseline_report = tr.baseline_sequential(corpus, plan, config)
+    router_report = run_protocol(corpus, plan, config, gamma=1.0)
+    baseline_report = baseline_sequential(corpus, plan, config)
     elapsed = perf_counter() - start
-    params = tr.ExpansionParams.create(config.seed, config.d_f, config.d_e)
-    features = tr.featurize_batch([r.text for r in corpus], config, params)
+    params = ExpansionParams.create(config.seed, config.d_f, config.d_e)
+    features = featurize_batch([r.text for r in corpus], config, params)
     return {
         "corpus": corpus,
         "plan": plan,
@@ -209,10 +222,10 @@ def test_acceptance_zero_replay_joint_equality(protocol):
     assert reads["rows"] == len(train_rows) == reads["total_reads"]
 
     features = protocol["features"][train_rows]
-    labels = tr.one_hot(
+    labels = one_hot(
         [protocol["corpus"][i].task_id for i in train_rows], router.final_state.d_k
     )
-    joint = tr.fit_base(features, labels, gamma=1.0)
+    joint = fit_base(features, labels, gamma=1.0)
     dev = float(np.abs(router.final_state.W - joint.W).max())
     assert dev <= RECURSION_TOL
 
@@ -223,10 +236,10 @@ def test_acceptance_zero_replay_joint_equality(protocol):
     ]
     truth = np.array([protocol["corpus"][i].task_id for i in task1_rows])
     seq_correct = int(np.sum(
-        tr.predict(router.final_state, protocol["features"][task1_rows]) == truth
+        predict(router.final_state, protocol["features"][task1_rows]) == truth
     ))
     joint_correct = int(np.sum(
-        tr.predict(joint, protocol["features"][task1_rows]) == truth
+        predict(joint, protocol["features"][task1_rows]) == truth
     ))
     assert seq_correct == joint_correct
     print(f"[acceptance] zero replay / joint equality: PASS "
@@ -236,7 +249,7 @@ def test_acceptance_zero_replay_joint_equality(protocol):
 def test_acceptance_persistence(protocol, tmp_path):
     """Byte-identical save/load/save; five CLI updates equal one joint CLI fit."""
     corpus_path = tmp_path / "corpus.jsonl"
-    tr.write_corpus(protocol["corpus"], corpus_path)
+    write_corpus(protocol["corpus"], corpus_path)
     flags = ["--d-e", "256", "--d-f", "64", "--seed", "0", "--gamma", "1.0"]
 
     joint_path = tmp_path / "joint.json"
@@ -256,13 +269,13 @@ def test_acceptance_persistence(protocol, tmp_path):
                      "--state-out", str(next_path)]) == 0
         state_path = next_path
 
-    sequential = tr.load_state(state_path)
-    joint = tr.load_state(joint_path)
+    sequential = load_state(state_path)
+    joint = load_state(joint_path)
     dev = float(np.abs(sequential.W - joint.W).max())
     assert dev <= RECURSION_TOL
 
     resaved = tmp_path / "resaved.json"
-    tr.save_state(tr.load_state(state_path), resaved)
+    save_state(load_state(state_path), resaved)
     assert resaved.read_bytes() == state_path.read_bytes()
     print(f"[acceptance] persistence: PASS "
           f"(5 updates vs joint |dW| {dev:.2e}, save/load/save byte-identical)")
@@ -270,9 +283,9 @@ def test_acceptance_persistence(protocol, tmp_path):
 
 def test_acceptance_end_to_end_routing(protocol):
     """Held-out instructions of every class route to the matching executor."""
-    registry = tr.ExecutorRegistry(
-        tr.ExecutorSpec(task_id=i, name=f"exec-{i}", action_dim=5 + i % 4,
-                        horizon=8 + i % 3, seed=7)
+    registry = ExecutorRegistry(
+        ExecutorSpec(task_id=i, name=f"exec-{i}", action_dim=5 + i % 4,
+                     horizon=8 + i % 3, seed=7)
         for i in range(10)
     )
     state = protocol["router"].final_state
@@ -282,14 +295,14 @@ def test_acceptance_end_to_end_routing(protocol):
             i for i, r in enumerate(protocol["corpus"])
             if r.split == "test" and r.task_id == class_id
         ]
-        preds = tr.predict(state, protocol["features"][rows])
+        preds = predict(state, protocol["features"][rows])
         hits = 0
         for pred in preds:
             spec = registry.lookup(int(pred))
             if spec is not None and spec.task_id == class_id:
                 hits += 1
-                chunk = tr.execute(
-                    spec, tr.Observation(proprioception=np.zeros(4))
+                chunk = execute(
+                    spec, Observation(proprioception=np.zeros(4))
                 )
                 assert chunk.actions.shape == (spec.horizon, spec.action_dim)
         per_class[class_id] = hits / len(rows)

@@ -6,10 +6,12 @@ import builtins
 
 import pytest
 
-import taskrouter as tr
 from taskrouter import atomic
 from taskrouter.atomic import write_atomic
 from taskrouter.cli import main
+from taskrouter.corpus import generate_synthetic_corpus, write_corpus
+from taskrouter.library import ExecutorRegistry, ExecutorSpec, save_manifest
+from taskrouter.scheduler import expand_label_space, init, save_state
 
 
 class _FailingFile:
@@ -35,24 +37,24 @@ class _FailingFile:
 
 
 def _save_state(path):
-    tr.save_state(tr.expand_label_space(tr.init(4, 1.0), 2), path)
+    save_state(expand_label_space(init(4, 1.0), 2), path)
 
 
 def _save_manifest(path):
-    registry = tr.ExecutorRegistry(
-        [tr.ExecutorSpec(task_id=0, name="exec-0", action_dim=2, horizon=3)]
+    registry = ExecutorRegistry(
+        [ExecutorSpec(task_id=0, name="exec-0", action_dim=2, horizon=3)]
     )
-    tr.save_manifest(registry, path)
+    save_manifest(registry, path)
 
 
 def _write_corpus(path):
-    tr.write_corpus(tr.generate_synthetic_corpus(2, 10, seed=1), path, force=True)
+    write_corpus(generate_synthetic_corpus(2, 10, seed=1), path, force=True)
 
 
 def _eval_report(path):
     corpus = path.parent / "corpus.jsonl"
     if not corpus.exists():
-        tr.write_corpus(tr.generate_synthetic_corpus(2, 10, seed=1), corpus)
+        write_corpus(generate_synthetic_corpus(2, 10, seed=1), corpus)
     code = main(["eval", "--corpus", str(corpus), "--report-out", str(path),
                  "--d-e", "64", "--d-f", "16"])
     if code != 0:

@@ -8,10 +8,12 @@ import json
 import numpy as np
 import pytest
 
-import taskrouter as tr
 from taskrouter.checks import check_int, check_number, json_fields
 from taskrouter.cli import _load_plan
-from taskrouter.scheduler import StateFormatError
+from taskrouter.corpus import read_corpus
+from taskrouter.features import FeaturizerConfig
+from taskrouter.library import load_manifest
+from taskrouter.scheduler import StateFormatError, fit_base, load_state, one_hot, save_state
 
 
 @pytest.mark.parametrize("value, low, high", [
@@ -54,18 +56,18 @@ def test_json_fields():
 
 def _corpus_line(path):
     path.write_text(json.dumps({"text": "x", "task_id": 0, "split": "train", "splitt": 1}) + "\n")
-    return "splitt", lambda: tr.read_corpus(path)
+    return "splitt", lambda: read_corpus(path)
 
 
 def _featurizer_config(path):
-    doc = dict(tr.FeaturizerConfig().to_dict(), lowercas=False)
-    return "lowercas", lambda: tr.FeaturizerConfig.from_dict(doc)
+    doc = dict(FeaturizerConfig().to_dict(), lowercas=False)
+    return "lowercas", lambda: FeaturizerConfig.from_dict(doc)
 
 
 def _manifest_entry(path):
     entry = {"task_id": 0, "name": "x", "action_dim": 1, "horizon": 1, "amplitud": 2.0}
     path.write_text(json.dumps([entry]))
-    return "amplitud", lambda: tr.load_manifest(path)
+    return "amplitud", lambda: load_manifest(path)
 
 
 def _plan_file(path):
@@ -75,13 +77,13 @@ def _plan_file(path):
 
 def _state_header(path):
     rng = np.random.default_rng(0)
-    state = tr.fit_base(rng.standard_normal((6, 4)), tr.one_hot([0, 1] * 3, 2), 1.0)
-    tr.save_state(state, path)
+    state = fit_base(rng.standard_normal((6, 4)), one_hot([0, 1] * 3, 2), 1.0)
+    save_state(state, path)
     line, _, payload = path.read_bytes().partition(b"\n")
     header = dict(json.loads(line), gama=2.0,
                   payload_sha256=hashlib.sha256(payload).hexdigest())
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    return "gama", lambda: tr.load_state(path)
+    return "gama", lambda: load_state(path)
 
 
 @pytest.mark.parametrize("reader", [

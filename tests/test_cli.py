@@ -9,8 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import taskrouter as tr
 from taskrouter.cli import main
+from taskrouter.corpus import read_corpus
+from taskrouter.features import ExpansionParams, FeaturizerConfig, featurize_batch
+from taskrouter.library import ExecutorRegistry, ExecutorSpec, save_manifest
+from taskrouter.scheduler import (
+    expand_label_space,
+    fit_base,
+    load_state,
+    one_hot,
+    save_state,
+    update,
+)
 
 D_E, D_F, SEED = 256, 32, 3
 
@@ -124,7 +134,7 @@ def test_eval_runs_the_readme_plan_example(capsys, tmp_path):
 
 
 def test_train_base_reports_label_width(workdir):
-    state = tr.load_state(workdir / "base.json")
+    state = load_state(workdir / "base.json")
     assert state.d_k == 2
     assert state.featurizer.d_e == D_E
 
@@ -152,16 +162,16 @@ def test_train_base_and_update_write_what_the_library_steps_write(workdir, capsy
     # order, and update those of expand_label_space (when the class is new to
     # the label space) plus update.
     corpus = workdir / "corpus.jsonl"
-    records = tr.read_corpus(corpus)
-    config = tr.FeaturizerConfig(seed=SEED, d_f=D_F, d_e=D_E)
-    params = tr.ExpansionParams.for_config(config)
+    records = read_corpus(corpus)
+    config = FeaturizerConfig(seed=SEED, d_f=D_F, d_e=D_E)
+    params = ExpansionParams.for_config(config)
 
     def rows_of(classes):
         rows = [r for c in classes for r in records if r.task_id == c and r.split == "train"]
-        return tr.featurize_batch([r.text for r in rows], config, params), [r.task_id for r in rows]
+        return featurize_batch([r.text for r in rows], config, params), [r.task_id for r in rows]
 
     def expect_same(cli_out, state):
-        tr.save_state(state, tmp_path / "expected.state")
+        save_state(state, tmp_path / "expected.state")
         assert cli_out.read_bytes() == (tmp_path / "expected.state").read_bytes()
 
     base = tmp_path / "base310.state"
@@ -170,19 +180,19 @@ def test_train_base_and_update_write_what_the_library_steps_write(workdir, capsy
                                "--d-f", str(D_F), "--seed", str(SEED)])
     assert code == 0
     features, ids = rows_of([3, 1, 0])
-    expect_same(base, tr.fit_base(features, tr.one_hot(ids, 4), 1.0,
-                                  featurizer=config, expansion_seed=SEED))
+    expect_same(base, fit_base(features, one_hot(ids, 4), 1.0,
+                               featurizer=config, expansion_seed=SEED))
 
     for state_in, new_class in ((workdir / "base.json", 3), (base, 2)):
         out = tmp_path / f"plus{new_class}.state"
         code, _, _ = _run(capsys, ["update", "--state", str(state_in), "--corpus", str(corpus),
                                    "--new-class", str(new_class), "--state-out", str(out)])
         assert code == 0
-        state = tr.load_state(state_in)
+        state = load_state(state_in)
         if new_class >= state.d_k:
-            state = tr.expand_label_space(state, new_class + 1)
+            state = expand_label_space(state, new_class + 1)
         features, ids = rows_of([new_class])
-        expect_same(out, tr.update(state, features, tr.one_hot(ids, state.d_k)))
+        expect_same(out, update(state, features, one_hot(ids, state.d_k)))
 
 
 # -- update --------------------------------------------------------------------
@@ -198,7 +208,7 @@ def test_update_grows_label_space_and_keeps_input(workdir, capsys, tmp_path):
     assert code == 0
     assert json.loads(stdout.strip())["d_K"] == 3
     assert base.read_bytes() == before
-    assert tr.load_state(out).d_k == 3
+    assert load_state(out).d_k == 3
 
 
 def test_update_rejects_already_trained_class(workdir, capsys, tmp_path):
@@ -233,7 +243,7 @@ def test_update_rejects_same_input_and_output_path(workdir, capsys):
 
 
 def test_route_training_instruction_hits_its_class(workdir, capsys):
-    records = tr.read_corpus(workdir / "corpus.jsonl")
+    records = read_corpus(workdir / "corpus.jsonl")
     text = next(r.text for r in records if r.task_id == 0 and r.split == "train")
     code, out, _ = _run(capsys, ["route", "--state", str(workdir / "base.json"), text])
     assert code == 0
@@ -254,12 +264,12 @@ def test_route_empty_text_is_total(workdir, capsys):
 
 def test_route_executes_registered_executor(workdir, capsys, tmp_path):
     manifest = tmp_path / "registry.json"
-    registry = tr.ExecutorRegistry(
-        tr.ExecutorSpec(task_id=i, name=f"exec-{i}", action_dim=7, horizon=8)
+    registry = ExecutorRegistry(
+        ExecutorSpec(task_id=i, name=f"exec-{i}", action_dim=7, horizon=8)
         for i in range(2)
     )
-    tr.save_manifest(registry, manifest)
-    records = tr.read_corpus(workdir / "corpus.jsonl")
+    save_manifest(registry, manifest)
+    records = read_corpus(workdir / "corpus.jsonl")
     text = next(r.text for r in records if r.task_id == 1 and r.split == "train")
     code, out, _ = _run(capsys, ["route", "--state", str(workdir / "base.json"),
                                  "--registry", str(manifest), text])
@@ -310,6 +320,17 @@ def test_eval_baseline_flag_adds_second_report(workdir, capsys, tmp_path):
     assert "baseline" in doc
     assert len(doc["baseline"]["forgetting"]) == len(doc["forgetting"])
     assert "Sequential gradient baseline" in out
+
+
+def test_eval_baseline_refuses_a_nan_learning_rate(workdir, capsys, tmp_path):
+    report_out = tmp_path / "report.json"
+    code, _, err = _run(capsys, ["eval", "--corpus", str(workdir / "corpus.jsonl"),
+                                 "--report-out", str(report_out), "--baseline",
+                                 "--learning-rate", "nan", "--d-e", str(D_E),
+                                 "--d-f", str(D_F), "--seed", str(SEED)])
+    assert code == 1
+    assert "learning_rate" in json.loads(err.strip())["error"]
+    assert not report_out.exists()
 
 
 def test_eval_rejects_invalid_plan_json(workdir, capsys, tmp_path):

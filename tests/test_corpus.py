@@ -36,7 +36,7 @@ def test_instructions_are_unique_within_each_class():
 
 
 def test_split_is_stratified_per_class():
-    records = generate_synthetic_corpus(5, 100, seed=0, train_fraction=0.8)
+    records = generate_synthetic_corpus(5, 100, seed=0)
     for class_id in range(5):
         splits = Counter(r.split for r in records if r.task_id == class_id)
         assert splits == {"train": 80, "test": 20}
@@ -55,13 +55,18 @@ def test_capacity_overflow_is_rejected():
         {"n_classes": 1, "per_class": 20},
         {"n_classes": 2, "per_class": 9},
         {"n_classes": len(THEMES) + 1, "per_class": 20},
-        {"n_classes": 2, "per_class": 20, "train_fraction": 1.0},
-        {"n_classes": 2, "per_class": 20, "train_fraction": 0.0},
+        {"n_classes": 2.5, "per_class": 20},
+        {"n_classes": 3, "per_class": 20.0},
+        {"n_classes": 3, "per_class": 20, "seed": 1.5},
+        {"n_classes": 3, "per_class": 20, "seed": True},
+        {"n_classes": True, "per_class": 20},
+        {"n_classes": 3, "per_class": 20, "seed": -1},
     ],
 )
 def test_generator_validates_arguments(kwargs):
+    kwargs = {"seed": 0, **kwargs}
     with pytest.raises(ValueError):
-        generate_synthetic_corpus(seed=0, **kwargs)
+        generate_synthetic_corpus(**kwargs)
 
 
 def test_write_read_round_trip(tmp_path):

@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from taskrouter import evaluation
 from taskrouter.corpus import generate_synthetic_corpus
-from taskrouter.evaluation import (
-    EvalReport,
-    PhasePlan,
-    average_accuracy,
-    baseline_sequential,
-    forgetting_rate,
-    run_protocol,
-)
+from taskrouter.evaluation import EvalReport, PhasePlan, baseline_sequential, run_protocol
 from taskrouter.features import ExpansionParams, FeaturizerConfig, featurize_batch
 from taskrouter.scheduler import fit_base, one_hot
 
@@ -33,28 +30,39 @@ def small_plan():
 # -- metrics -------------------------------------------------------------------
 
 
-def test_average_accuracy_arithmetic():
-    assert abs(average_accuracy([100.0, 98.61]) - 99.305) < 1e-12
+def _report_with_metrics(monkeypatch, accuracies, task1):
+    """A protocol report whose phases measured exactly ``accuracies`` and ``task1``."""
+    scripted = iter(zip(accuracies, task1))
+
+    def phase_metrics(predictor, features, labels, test_idx, seen, task1_rows, d_k):
+        acc, t1 = next(scripted)
+        return acc, t1, np.zeros((d_k, d_k), dtype=np.int64)
+
+    monkeypatch.setattr(evaluation, "_phase_metrics", phase_metrics)
+    n = len(accuracies)
+    corpus = generate_synthetic_corpus(n + 1, 10, seed=0)
+    plan = PhasePlan(base_classes=(0, 1), incremental_classes=tuple(range(2, n + 1)))
+    return run_protocol(corpus, plan, SMALL_CFG)
 
 
-def test_average_accuracy_degenerate_cases():
-    assert average_accuracy([73.25]) == 73.25
-    assert average_accuracy([50.0, 50.0, 50.0]) == 50.0
+def test_average_accuracy_arithmetic(monkeypatch):
+    report = _report_with_metrics(monkeypatch, [100.0, 98.61], [100.0, 100.0])
+    assert abs(report.average_accuracy - 99.305) < 1e-12
 
 
-def test_average_accuracy_rejects_bad_input():
-    with pytest.raises(ValueError):
-        average_accuracy([])
-    with pytest.raises(ValueError):
-        average_accuracy([101.0])
+def test_average_accuracy_degenerate_cases(monkeypatch):
+    assert _report_with_metrics(monkeypatch, [73.25], [73.25]).average_accuracy == 73.25
+    assert _report_with_metrics(monkeypatch, [50.0] * 3, [50.0] * 3).average_accuracy == 50.0
 
 
-def test_forgetting_rate_formula():
-    assert forgetting_rate(100.0, 95.0) == 5.0
-    assert forgetting_rate(88.8, 88.8) == 0.0
-    assert forgetting_rate(90.0, 95.0) == -5.0
-    with pytest.raises(ValueError):
-        forgetting_rate(-1.0, 50.0)
+def test_forgetting_rate_formula(monkeypatch):
+    def forgetting(initial, now):
+        report = _report_with_metrics(monkeypatch, [100.0, 100.0], [initial, now])
+        return report.per_phase_forgetting
+
+    assert forgetting(100.0, 95.0) == [0.0, 5.0]
+    assert forgetting(88.8, 88.8) == [0.0, 0.0]
+    assert forgetting(90.0, 95.0) == [0.0, -5.0]
 
 
 # -- plan validation -------------------------------------------------------------
@@ -206,6 +214,25 @@ def test_zero_learning_rate_means_no_training(small_corpus, small_plan):
     assert np.array_equal(frozen.final_weights, np.zeros_like(frozen.final_weights))
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"steps": True}, "steps"),
+        ({"steps": 2.5}, "steps"),
+        ({"steps": -1}, "steps"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"learning_rate": True}, "learning_rate"),
+        ({"learning_rate": -0.1}, "learning_rate"),
+    ],
+    ids=["bool-steps", "float-steps", "negative-steps", "nan-rate", "inf-rate", "bool-rate",
+         "negative-rate"],
+)
+def test_baseline_validates_its_arguments(small_corpus, small_plan, kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        baseline_sequential(small_corpus, small_plan, SMALL_CFG, **kwargs)
+
+
 def test_single_phase_plan_both_methods_score_high():
     corpus = generate_synthetic_corpus(10, 102, seed=0)
     plan = PhasePlan(base_classes=tuple(range(10)))
@@ -258,3 +285,14 @@ def test_report_is_a_plain_dataclass_round_trip():
         training_reads={"rows": 1, "min_reads": 1, "max_reads": 1, "total_reads": 1},
     )
     assert report.to_json_dict()["average_accuracy"] == 100.0
+
+
+def test_readme_library_use_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S)
+    assert block is not None, "README has no Library use block"
+    namespace: dict = {}
+    exec(compile(block.group(1), "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.splitlines()[-1].startswith("Average")
+    assert namespace["report"].per_phase_accuracy[-1] >= 95.0
+    assert (namespace["state"].d_k, namespace["state"].tasks_seen) == (3, 1)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -157,14 +159,8 @@ def test_update_validates_widths():
         update(state, np.eye(4), one_hot([0, 1, 1, 0], 2))
     with pytest.raises(ValueError, match="expand_label_space"):
         update(state, np.eye(3), one_hot([0, 1, 2], 3))
-
-
-def test_update_accepts_narrower_labels():
-    state = fit_base(np.eye(3), one_hot([0, 1, 2], 3), gamma=1.0)
-    updated = update(state, np.eye(3), one_hot([0, 0, 0], 1))
-    assert updated.d_k == 3
-    # Q is derived as L Z, so the untouched columns agree to rounding.
-    assert np.abs(updated.Q[:, 1:] - np.eye(3)[:, 1:]).max() <= 1e-12
+    with pytest.raises(ValueError, match="labels cover 1 classes, state expects 2"):
+        update(state, np.eye(3), one_hot([0, 0, 0], 1))
 
 
 def test_update_flags_pathological_inner_system():
@@ -778,3 +774,16 @@ def test_states_without_featurizer_round_trip(tmp_path):
     loaded = load_state(path)
     assert loaded.featurizer is None
     assert np.array_equal(loaded.W, state.W)
+
+
+def test_importing_the_scheduler_loads_no_other_layer():
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, taskrouter.scheduler; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    loaded = set(json.loads(probe.stdout))
+    others = {f"taskrouter.{m}" for m in ("service", "evaluation", "corpus", "library", "cli")}
+    assert "taskrouter.scheduler" in loaded
+    assert not loaded & others

@@ -15,9 +15,10 @@ import time
 
 import pytest
 
-import taskrouter as tr
 from taskrouter import service
 from taskrouter.cli import main
+from taskrouter.library import ExecutorRegistry, ExecutorSpec, save_manifest
+from taskrouter.scheduler import init, save_state
 from taskrouter.service import (
     MAX_CONNECTIONS,
     OUTPUT_LIMIT,
@@ -40,11 +41,11 @@ def served_files(tmp_path_factory):
     assert main(["train-base", "--corpus", str(corpus), "--classes", "0,1,2",
                  "--state-out", str(state), "--d-e", "256", "--d-f", "32",
                  "--seed", "3"]) == 0
-    registry = tr.ExecutorRegistry(
-        tr.ExecutorSpec(task_id=i, name=f"exec-{i}", action_dim=4, horizon=6)
+    registry = ExecutorRegistry(
+        ExecutorSpec(task_id=i, name=f"exec-{i}", action_dim=4, horizon=6)
         for i in range(3)
     )
-    tr.save_manifest(registry, manifest)
+    save_manifest(registry, manifest)
     return {"corpus": corpus, "state": state, "registry": manifest}
 
 
@@ -350,7 +351,7 @@ def test_oversized_request_lines_get_an_error_line_each(served_files):
 
 def test_router_requires_trained_featurized_state(served_files, tmp_path):
     bare = tmp_path / "bare.json"
-    tr.save_state(tr.init(8, 1.0), bare)
+    save_state(init(8, 1.0), bare)
     with pytest.raises(ValueError):
         Router.from_files(bare)
 
