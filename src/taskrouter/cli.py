@@ -143,7 +143,7 @@ def _learn(args, state, records, classes: Sequence[int], destination: str | Path
     :func:`scheduler.update` absorbs them.
     """
     rows = _train_rows(records, classes)
-    params = ExpansionParams.for_config(state.featurizer, state.expansion_seed)
+    params = ExpansionParams.for_config(state.featurizer)
     features = featurize_batch([r.text for r in rows], state.featurizer, params)
     if max(classes) + 1 > state.d_k:
         state = scheduler.expand_label_space(state, max(classes) + 1)
@@ -159,7 +159,7 @@ def cmd_train_base(args: argparse.Namespace) -> int:
     classes = _parse_classes(args.classes)
     config = _featurizer_from(args)
     # A fresh state plus one update is exactly scheduler.fit_base.
-    state = scheduler.init(config.d_e, args.gamma, featurizer=config, expansion_seed=config.seed)
+    state = scheduler.init(config.d_e, args.gamma, featurizer=config)
     return _learn(args, state, records, classes, args.state_out)
 
 
@@ -222,16 +222,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     records = corpus_mod.read_corpus(args.corpus)
     plan = _load_plan(args.plan) if args.plan is not None else _default_plan(records)
     config = _featurizer_from(args)
-    report = run_protocol(records, plan, config, gamma=args.gamma,
-                          expansion_seed=args.seed)
+    # The baseline runs first, so a bad --steps or --learning-rate is refused
+    # before the router protocol's work; the two runs are independent.
+    base_report = None
+    if args.baseline:
+        base_report = baseline_sequential(records, plan, config, steps=args.steps,
+                                          learning_rate=args.learning_rate)
+    report = run_protocol(records, plan, config, gamma=args.gamma)
     doc = report.to_json_dict()
     tables = [report.to_table()]
-    if args.baseline:
-        base_report = baseline_sequential(
-            records, plan, config,
-            steps=args.steps, learning_rate=args.learning_rate,
-            expansion_seed=args.seed,
-        )
+    if base_report is not None:
         doc["baseline"] = base_report.to_json_dict()
         tables.append("Sequential gradient baseline\n" + base_report.to_table())
 

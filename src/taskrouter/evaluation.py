@@ -19,7 +19,8 @@ import numpy as np
 from .checks import check_int, check_number
 from .corpus import InstructionRecord
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
-from .scheduler import _softmax, expand_label_space, fit_base, one_hot, predict, update
+from .scheduler import (_check_expansion_seed, _softmax, expand_label_space, fit_base, one_hot,
+                        predict, update)
 
 __all__ = [
     "PhasePlan",
@@ -140,12 +141,7 @@ def _index_by_class(
     )
 
 
-def _prepare(
-    corpus: Sequence[InstructionRecord],
-    plan: PhasePlan,
-    config: FeaturizerConfig,
-    expansion_seed: int | None,
-):
+def _prepare(corpus: Sequence[InstructionRecord], plan: PhasePlan, config: FeaturizerConfig):
     records = list(corpus)
     if not records:
         raise ValueError("corpus is empty")
@@ -158,11 +154,11 @@ def _prepare(
             f"plan does not cover the corpus (classes missing from plan: {missing}, "
             f"planned but absent: {extra})"
         )
-    params = ExpansionParams.for_config(config, expansion_seed)
+    params = ExpansionParams.for_config(config)
     features = featurize_batch([r.text for r in records], config, params)
     train_idx, test_idx = _index_by_class(records, plan)
     labels = np.array([r.task_id for r in records], dtype=np.int64)
-    return records, params.seed, features, labels, train_idx, test_idx
+    return records, features, labels, train_idx, test_idx
 
 
 def _phases(plan: PhasePlan) -> list[tuple[str, list[int]]]:
@@ -196,21 +192,18 @@ def _run_phases(
     corpus: Sequence[InstructionRecord],
     plan: PhasePlan,
     config: FeaturizerConfig,
-    expansion_seed: int | None,
-    train: Callable[[np.ndarray, np.ndarray, int], Callable[[np.ndarray], np.ndarray]],
+    train: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]],
     reads_per_phase: int = 1,
 ) -> EvalReport:
     """The phase loop both methods share; ``train`` is the method's one training step.
 
-    ``train(x, targets, expansion_seed)`` learns from one phase's rows and
-    one-hot targets, which widen as classes arrive, and returns a predictor
-    from feature rows to class ids; the loop scores it before the next phase
-    trains, on the cumulative test set and on the base classes' test set.
+    ``train(x, targets)`` learns from one phase's rows and one-hot targets,
+    which widen as classes arrive, and returns a predictor from feature rows
+    to class ids; the loop scores it before the next phase trains, on the
+    cumulative test set and on the base classes' test set.
     Each phase counts ``reads_per_phase`` reads of its training rows.
     """
-    records, seed, features, labels, train_idx, test_idx = _prepare(
-        corpus, plan, config, expansion_seed
-    )
+    records, features, labels, train_idx, test_idx = _prepare(corpus, plan, config)
     reads = np.zeros(len(records), dtype=np.int64)
     task1_rows = np.concatenate([test_idx[c] for c in sorted(plan.base_classes)])
     phase_names: list[str] = []
@@ -223,7 +216,7 @@ def _run_phases(
     for name, classes in _phases(plan):
         rows = np.concatenate([train_idx[c] for c in classes])
         width = max(width, max(classes) + 1)
-        predictor = train(features[rows], one_hot(labels[rows], width), seed)
+        predictor = train(features[rows], one_hot(labels[rows], width))
         reads[rows] += reads_per_phase
         seen.extend(classes)
         acc, t1, conf = _phase_metrics(
@@ -268,20 +261,24 @@ def run_protocol(
 
     Every training row enters the router exactly once across the whole run;
     the function raises if its own instrumentation ever observes a re-read.
+    The expansion is always ``config``'s seed; ``expansion_seed`` is accepted
+    only as None or that seed, for callers in ``bench/``, and goes when they
+    next change.
     """
+    _check_expansion_seed(expansion_seed, config)
     state = None
 
-    def train(x: np.ndarray, targets: np.ndarray, seed: int):
+    def train(x: np.ndarray, targets: np.ndarray):
         nonlocal state
         if state is None:
-            state = fit_base(x, targets, gamma, featurizer=config, expansion_seed=seed)
+            state = fit_base(x, targets, gamma, featurizer=config)
         else:
             if targets.shape[1] > state.d_k:
                 state = expand_label_space(state, targets.shape[1])
             state = update(state, x, targets)
         return lambda f: predict(state, f)
 
-    report = _run_phases("router", corpus, plan, config, expansion_seed, train)
+    report = _run_phases("router", corpus, plan, config, train)
     reads = report.training_reads
     if (reads["min_reads"], reads["max_reads"]) != (1, 1) or (
         report.read_counts.sum() != reads["rows"]
@@ -298,7 +295,6 @@ def baseline_sequential(
     *,
     steps: int = 200,
     learning_rate: float = 0.1,
-    expansion_seed: int | None = None,
 ) -> EvalReport:
     """Sequentially fine-tuned softmax regression on the same expanded features.
 
@@ -312,7 +308,7 @@ def baseline_sequential(
         raise ValueError(f"learning_rate must not be negative, got {learning_rate!r}")
     weights = np.zeros((config.d_e, 0))
 
-    def train(x: np.ndarray, targets: np.ndarray, _seed: int):
+    def train(x: np.ndarray, targets: np.ndarray):
         nonlocal weights
         grown = targets.shape[1] - weights.shape[1]
         if grown > 0:
@@ -323,8 +319,6 @@ def baseline_sequential(
             weights -= learning_rate * grad
         return lambda f: np.argmax(f @ weights, axis=1)
 
-    report = _run_phases(
-        "baseline", corpus, plan, config, expansion_seed, train, reads_per_phase=steps
-    )
+    report = _run_phases("baseline", corpus, plan, config, train, reads_per_phase=steps)
     report.final_weights = weights
     return report

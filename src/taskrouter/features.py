@@ -79,10 +79,8 @@ class ExpansionParams:
     """Frozen random projection that widens pooled features before ReLU."""
 
     projection: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
-        check_int(self.seed, "seed", 0, 2**64)
         projection = np.asarray(self.projection, dtype=np.float64)
         if projection.ndim != 2:
             raise ValueError("projection must be a d_f x d_e matrix")
@@ -97,25 +95,19 @@ class ExpansionParams:
         """Deterministically regenerate the projection from (seed, d_f, d_e).
 
         Entries are N(0, 1/d_f); the same triple always yields the identical
-        matrix, so states only need to persist the seed.
+        matrix, so a state's featurizer config fixes it.
         """
         check_int(seed, "seed", 0, 2**64)
         check_int(d_f, "d_f", 1)
         check_int(d_e, "d_e", 1)
         rng = np.random.default_rng([seed, d_f, d_e])
         projection = rng.standard_normal((d_f, d_e)) / math.sqrt(d_f)
-        return cls(projection=projection, seed=seed)
+        return cls(projection=projection)
 
     @classmethod
-    def for_config(
-        cls, config: FeaturizerConfig, seed: int | None = None
-    ) -> "ExpansionParams":
-        """The projection a featurizer config expands with.
-
-        ``seed`` is a state's ``expansion_seed``; when it is None the
-        config's own seed is used.
-        """
-        return cls.create(config.seed if seed is None else seed, config.d_f, config.d_e)
+    def for_config(cls, config: FeaturizerConfig) -> "ExpansionParams":
+        """The projection a featurizer config expands with, made from its own seed."""
+        return cls.create(config.seed, config.d_f, config.d_e)
 
     @property
     def d_f(self) -> int:

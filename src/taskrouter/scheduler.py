@@ -53,12 +53,12 @@ __all__ = [
     "expand_label_space",
     "predict_proba",
     "predict",
-    "payload_sha256",
+    "state_sha256",
     "save_state",
     "load_state",
 ]
 
-STATE_VERSION = 5
+STATE_VERSION = 6
 
 # Longest header line a state file may have, newline included. Real headers
 # are a few hundred bytes; the bound keeps a corrupt file from being read
@@ -91,9 +91,9 @@ class SchedulerState:
     regularised Gram matrix, ``L Lᵀ = FᵀF + gamma I``; ``Z = L⁻¹ Q``
     (d_e x d_k) carries the feature/label moments ``Q = FᵀY``; and
     ``W = L⁻ᵀ Z`` the routing weights. ``d_e`` and ``d_k`` are read from
-    their shapes. ``featurizer`` and ``expansion_seed`` record how inputs
-    must be featurized and may be absent for states driven with raw feature
-    matrices.
+    their shapes. ``featurizer`` records how inputs must be featurized, its
+    seed fixing the expansion too, and may be absent for states driven with
+    raw feature matrices.
     """
 
     L: np.ndarray
@@ -102,7 +102,6 @@ class SchedulerState:
     gamma: float
     tasks_seen: int = 0
     featurizer: FeaturizerConfig | None = None
-    expansion_seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma", _as_gamma(self.gamma))
@@ -114,8 +113,6 @@ class SchedulerState:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
         check_int(self.tasks_seen, "tasks_seen")
-        if self.expansion_seed is not None:
-            check_int(self.expansion_seed, "expansion_seed", 0, 2**64)
         if self.featurizer is not None and self.featurizer.d_e != self.d_e:
             raise ValueError("featurizer d_e disagrees with the state's d_e")
 
@@ -238,13 +235,7 @@ def one_hot(class_ids, num_classes: int) -> np.ndarray:
     return out
 
 
-def init(
-    d_e: int,
-    gamma: float,
-    *,
-    featurizer: FeaturizerConfig | None = None,
-    expansion_seed: int | None = None,
-) -> SchedulerState:
+def init(d_e: int, gamma: float, *, featurizer: FeaturizerConfig | None = None) -> SchedulerState:
     """Fresh, classless state: L = sqrt(gamma) I, empty Z and W."""
     check_int(d_e, "d_e", 1)
     gamma = _as_gamma(gamma)
@@ -252,15 +243,15 @@ def init(
     z = np.zeros((d_e, 0))
     w = np.zeros((d_e, 0))
     _freeze(lower, z, w)
-    return SchedulerState(
-        L=lower,
-        Z=z,
-        W=w,
-        gamma=gamma,
-        tasks_seen=0,
-        featurizer=featurizer,
-        expansion_seed=expansion_seed,
-    )
+    return SchedulerState(L=lower, Z=z, W=w, gamma=gamma, featurizer=featurizer)
+
+
+def _check_expansion_seed(expansion_seed, featurizer: FeaturizerConfig | None) -> None:
+    """Refuse an ``expansion_seed`` other than None or the featurizer's own seed."""
+    seed = None if featurizer is None else featurizer.seed
+    if expansion_seed is not None and not (is_int(expansion_seed) and expansion_seed == seed):
+        raise ValueError(f"expansion_seed must be None or the featurizer's seed ({seed}), "
+                         f"got {expansion_seed!r}")
 
 
 def fit_base(
@@ -275,10 +266,14 @@ def fit_base(
 
     W = (FᵀF + gamma I)^{-1} FᵀY, absorbed into a fresh state exactly as
     :func:`update` absorbs later batches, so those need none of this data.
+    The expansion is always the featurizer's seed; ``expansion_seed`` is
+    accepted only as None or that seed, for callers in ``bench/``, and goes
+    when they next change.
     """
+    _check_expansion_seed(expansion_seed, featurizer)
     feats = _as_feature_matrix(features)
     lab = _as_label_matrix(labels, feats.shape[0])
-    state = init(feats.shape[1], gamma, featurizer=featurizer, expansion_seed=expansion_seed)
+    state = init(feats.shape[1], gamma, featurizer=featurizer)
     return _absorb(expand_label_space(state, lab.shape[1]), feats, lab)
 
 
@@ -369,52 +364,64 @@ def _payload(state: SchedulerState) -> list[np.ndarray]:
     )
 
 
-def _digest(parts: list[np.ndarray]) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)  # hashes the array's buffer in place
-    return digest.hexdigest()
+# The state header's keys in file order; the digest comes last and covers the others.
+_HEADER_FIELDS = ("version", "d_e", "d_K", "gamma", "tasks_seen", "featurizer", "sha256")
 
 
-def payload_sha256(state: SchedulerState) -> str:
-    """Hex sha256 of the state's payload, as :func:`save_state` writes it.
-
-    Equal states give equal digests, so it fingerprints which state a
-    process holds.
-    """
-    return _digest(_payload(state))
-
-
-def save_state(state: SchedulerState, destination: str | Path) -> None:
-    """Write the state as one JSON header line followed by a raw payload.
-
-    The header holds ``version``, ``d_e``, ``d_K``, ``gamma``,
-    ``tasks_seen``, ``featurizer``, ``expansion_seed`` and the payload's
-    ``payload_sha256``. The payload is each row of L up to its diagonal
-    (``L[i, :i+1]``, row by row), then Z and then W (each d_e x d_K, C
-    order), as raw little-endian float64. L's upper triangle is zero, so it
-    is not stored. W is stored although L and Z determine it, so that a
-    loading process need not solve for it, nor import SciPy to do so. Equal
-    states give equal bytes, so a save/load/save cycle is byte-identical,
-    and the file is replaced atomically.
-    """
-    parts = _payload(state)
-    header = {
+def _header(state: SchedulerState) -> dict:
+    """Every header field of the state but its digest, in file order."""
+    return {
         "version": STATE_VERSION,
         "d_e": state.d_e,
         "d_K": state.d_k,
         "gamma": state.gamma,
         "tasks_seen": state.tasks_seen,
         "featurizer": None if state.featurizer is None else state.featurizer.to_dict(),
-        "expansion_seed": state.expansion_seed,
-        "payload_sha256": _digest(parts),
     }
+
+
+def _canonical(header: dict) -> bytes:
+    """The digested form of a header: every field but the digest, in file order, compact JSON."""
+    return json.dumps(
+        {key: header[key] for key in _HEADER_FIELDS[:-1]}, separators=(",", ":")
+    ).encode("utf-8")
+
+
+def _digest(header: dict, parts: list[np.ndarray]) -> str:
+    digest = hashlib.sha256(_canonical(header))
+    for part in parts:
+        digest.update(part)  # hashes the array's buffer in place
+    return digest.hexdigest()
+
+
+def state_sha256(state: SchedulerState) -> str:
+    """The ``sha256`` :func:`save_state` writes: of the canonical header, then the payload.
+
+    It covers everything a state means, its featurizer and ``gamma`` as well
+    as L, Z and W, so it fingerprints which state a process holds.
+    """
+    return _digest(_header(state), _payload(state))
+
+
+def save_state(state: SchedulerState, destination: str | Path) -> None:
+    """Write the state as one JSON header line followed by a raw payload.
+
+    The header holds ``version``, ``d_e``, ``d_K``, ``gamma``,
+    ``tasks_seen``, ``featurizer`` and ``sha256``, the digest of the other
+    fields in that order (compact JSON, as written here) followed by the
+    payload. The payload is each row of L up to its diagonal (``L[i, :i+1]``,
+    row by row), then Z and then W (each d_e x d_K, C order), as raw
+    little-endian float64. L's upper triangle is zero, so it is not stored.
+    W is stored although L and Z determine it, so that a loading process
+    need not solve for it, nor import SciPy to do so. Equal states give
+    equal bytes, so a save/load/save cycle is byte-identical, and the file
+    is replaced atomically.
+    """
+    parts = _payload(state)
+    header = _header(state)
+    header["sha256"] = _digest(header, parts)
     line = json.dumps(header, separators=(",", ":")) + "\n"
     write_atomic(destination, line.encode("utf-8"), *parts)
-
-
-_HEADER_FIELDS = ("version", "d_e", "d_K", "gamma", "tasks_seen", "featurizer",
-                  "expansion_seed", "payload_sha256")
 
 
 def _unsupported_version(version) -> StateFormatError:
@@ -452,12 +459,17 @@ def _read_header(handle) -> dict:
 def load_state(source: str | Path) -> SchedulerState:
     """Load a state file, validating its header, payload and invariants.
 
-    The payload must be exactly as long as the header's shapes require and
-    match its sha256, and every other field passes the state's own checks,
-    whose ``ValueError`` becomes a :class:`StateFormatError`, and L may
-    have no zero on its diagonal. L, Z and W are read into freshly
-    allocated, aligned, read-only arrays, L's upper triangle left zero, so a
-    loaded state's W is the saved one's, bit for bit. Only numpy is used.
+    The payload must be exactly as long as the header's shapes require, the
+    header's ``sha256`` must match its other fields followed by the payload,
+    every field passes the state's own checks, whose ``ValueError`` becomes a
+    :class:`StateFormatError`, and L may have no zero on its diagonal. L, Z
+    and W are read into freshly allocated, aligned, read-only arrays, L's
+    upper triangle left zero, so a loaded state's W is the saved one's, bit
+    for bit. Only numpy is used.
+
+    The stored W is authoritative: it is not checked against L⁻ᵀZ. The
+    digest rules out a W that disagrees with L and Z by accident, and the
+    check would add about 4 ms to every load at d_e=1024.
     """
     with open(source, "rb") as handle:
         header = _read_header(handle)
@@ -475,14 +487,14 @@ def load_state(source: str | Path) -> SchedulerState:
         lower = np.zeros((d_e, d_e), dtype=_PAYLOAD_DTYPE)
         z = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
         w = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
-        digest = hashlib.sha256()
+        digest = hashlib.sha256(_canonical(header))
         for part in _parts(lower, z, w):
             if handle.readinto(part) != part.nbytes:
                 raise StateFormatError("state payload is truncated")
             digest.update(part)
 
-    if digest.hexdigest() != header["payload_sha256"]:
-        raise StateFormatError("state payload does not match its payload_sha256")
+    if digest.hexdigest() != header["sha256"]:
+        raise StateFormatError("state header and payload do not match its sha256")
     # A NaN is nonzero, so a non-finite diagonal passes here; the state's own
     # finiteness scan refuses it below.
     if not lower.diagonal().all():
@@ -497,7 +509,6 @@ def load_state(source: str | Path) -> SchedulerState:
             gamma=header["gamma"],
             tasks_seen=header["tasks_seen"],
             featurizer=None if featurizer is None else FeaturizerConfig.from_dict(featurizer),
-            expansion_seed=header["expansion_seed"],
         )
     except ValueError as exc:
         raise StateFormatError(str(exc)) from exc

@@ -1,11 +1,11 @@
 """Routing front end shared by the CLI and the serve loop.
 
 A :class:`Router` bundles a loaded scheduler state, the expansion parameters
-regenerated from its stored seed, and an executor registry. Serving speaks
-newline-delimited JSON over stdio or a local TCP socket: one response line
-per request line, in order, and a malformed request produces an error line
-instead of killing the loop. One class, ``_Requests``, frames request lines
-for both transports.
+regenerated from its featurizer config, and an executor registry. Serving
+speaks newline-delimited JSON over stdio or a local TCP socket: one response
+line per request line, in order, and a malformed request produces an error
+line instead of killing the loop. One class, ``_Requests``, frames request
+lines for both transports.
 
 stdio is a blocking loop of bounded reads. TCP is one thread running one
 ``selectors`` loop over non-blocking sockets, so routing never competes with
@@ -31,7 +31,7 @@ from . import library
 from .checks import json_fields
 from .features import ExpansionParams, featurize_batch
 from .library import ExecutorRegistry, Observation
-from .scheduler import SchedulerState, load_state, payload_sha256, predict_proba
+from .scheduler import SchedulerState, load_state, predict_proba, state_sha256
 
 __all__ = ["MAX_CONNECTIONS", "OUTPUT_LIMIT", "REQUEST_LINE_LIMIT", "RouteResult", "Router",
            "serve_stdio", "serve_tcp", "parse_endpoint"]
@@ -80,7 +80,11 @@ class RouteResult:
 
 
 class Router:
-    """A read-only routing snapshot: state, expansion params, registry."""
+    """A read-only routing snapshot: state, expansion params, registry.
+
+    The expansion params are made from the state's featurizer config, whose
+    seed fixes them; :attr:`state_sha256` covers that config too.
+    """
 
     def __init__(
         self, state: SchedulerState, registry: ExecutorRegistry | None = None
@@ -93,7 +97,7 @@ class Router:
             raise ValueError("state has no trained classes; train it first")
         self.state = state
         self.registry = registry if registry is not None else ExecutorRegistry()
-        self.params = ExpansionParams.for_config(state.featurizer, state.expansion_seed)
+        self.params = ExpansionParams.for_config(state.featurizer)
 
     @classmethod
     def from_files(
@@ -130,8 +134,13 @@ class Router:
 
     @cached_property
     def state_sha256(self) -> str:
-        """Fingerprint of the served state: the ``payload_sha256`` its file holds."""
-        return payload_sha256(self.state)
+        """Fingerprint of the served state: the ``sha256`` in its file's header.
+
+        It covers every header field (the featurizer config, ``gamma``,
+        ``tasks_seen`` and the shapes) and L, Z and W, so two processes that
+        report the same value pick the same task for every text.
+        """
+        return state_sha256(self.state)
 
     def stats(self) -> dict:
         return {
@@ -240,11 +249,12 @@ def parse_endpoint(endpoint: str) -> tuple[str, str, int]:
         host, sep, port_text = rest.rpartition(":")
         if not sep or not host:
             raise ValueError(f"bad tcp endpoint {endpoint!r}; expected tcp:HOST:PORT")
-        try:
-            port = int(port_text)
-        except ValueError as exc:
-            raise ValueError(f"bad port in endpoint {endpoint!r}") from exc
-        if not 0 <= port <= 65535:
+        # ASCII digits only: int() would also take underscores, spaces, a sign
+        # and non-ASCII digits.
+        if not (port_text.isascii() and port_text.isdigit()):
+            raise ValueError(f"bad port in endpoint {endpoint!r}")
+        port = int(port_text)
+        if port > 65535:
             raise ValueError(f"port out of range in endpoint {endpoint!r}")
         return ("tcp", host, port)
     raise ValueError(f"unknown endpoint {endpoint!r}; expected 'stdio' or 'tcp:HOST:PORT'")

@@ -180,8 +180,7 @@ def test_train_base_and_update_write_what_the_library_steps_write(workdir, capsy
                                "--d-f", str(D_F), "--seed", str(SEED)])
     assert code == 0
     features, ids = rows_of([3, 1, 0])
-    expect_same(base, fit_base(features, one_hot(ids, 4), 1.0,
-                               featurizer=config, expansion_seed=SEED))
+    expect_same(base, fit_base(features, one_hot(ids, 4), 1.0, featurizer=config))
 
     for state_in, new_class in ((workdir / "base.json", 3), (base, 2)):
         out = tmp_path / f"plus{new_class}.state"
@@ -331,6 +330,21 @@ def test_eval_baseline_refuses_a_nan_learning_rate(workdir, capsys, tmp_path):
     assert code == 1
     assert "learning_rate" in json.loads(err.strip())["error"]
     assert not report_out.exists()
+
+
+def test_eval_baseline_checks_its_flags_before_the_router_protocol(
+    workdir, capsys, tmp_path, monkeypatch
+):
+    def no_protocol(*args, **kwargs):
+        raise AssertionError("run_protocol ran before the baseline flags were checked")
+
+    monkeypatch.setattr("taskrouter.cli.run_protocol", no_protocol)
+    code, _, err = _run(capsys, ["eval", "--corpus", str(workdir / "corpus.jsonl"),
+                                 "--report-out", str(tmp_path / "report.json"), "--baseline",
+                                 "--learning-rate", "nan", "--d-e", str(D_E),
+                                 "--d-f", str(D_F), "--seed", str(SEED)])
+    assert code == 1
+    assert "learning_rate" in json.loads(err.strip())["error"]
 
 
 def test_eval_rejects_invalid_plan_json(workdir, capsys, tmp_path):

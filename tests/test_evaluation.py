@@ -233,6 +233,25 @@ def test_baseline_validates_its_arguments(small_corpus, small_plan, kwargs, fiel
         baseline_sequential(small_corpus, small_plan, SMALL_CFG, **kwargs)
 
 
+def test_fit_base_and_run_protocol_refuse_an_expansion_seed_other_than_the_featurizer_seed(
+    small_corpus, small_plan
+):
+    # The keyword stays only for callers that still pass the featurizer's own
+    # seed; any other value, or one without a featurizer, is refused by name.
+    config = FeaturizerConfig(seed=1, d_f=1, d_e=2)
+    for bad in (2, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="expansion_seed"):
+            fit_base(np.eye(2), np.eye(2), 1.0, featurizer=config, expansion_seed=bad)
+        with pytest.raises(ValueError, match="expansion_seed"):
+            run_protocol(small_corpus, small_plan, config, expansion_seed=bad)
+    with pytest.raises(ValueError, match="expansion_seed"):
+        fit_base(np.eye(2), np.eye(2), 1.0, expansion_seed=1)
+    same = fit_base(np.eye(2), np.eye(2), 1.0, featurizer=config, expansion_seed=1)
+    assert np.array_equal(same.W, fit_base(np.eye(2), np.eye(2), 1.0, featurizer=config).W)
+    assert (run_protocol(small_corpus, small_plan, SMALL_CFG, expansion_seed=0).to_json_dict()
+            == run_protocol(small_corpus, small_plan, SMALL_CFG).to_json_dict())
+
+
 def test_single_phase_plan_both_methods_score_high():
     corpus = generate_synthetic_corpus(10, 102, seed=0)
     plan = PhasePlan(base_classes=tuple(range(10)))

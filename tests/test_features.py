@@ -162,7 +162,7 @@ def test_mean_pool_self_concatenation_invariant(n_rows, width, seed):
 
 
 def test_expand_relu_clips_negatives():
-    params = ExpansionParams(projection=np.eye(2), seed=0)
+    params = ExpansionParams(projection=np.eye(2))
     assert np.array_equal(expand(np.array([1.0, -1.0]), params), np.array([1.0, 0.0]))
 
 
@@ -211,7 +211,7 @@ def test_expansion_params_create_names_a_bad_argument(name, args):
 @pytest.mark.parametrize("seed", ["x", True, -1, 1.0, 2**64, 2**70])
 def test_expansion_params_refuse_a_bad_seed(seed):
     with pytest.raises(ValueError, match="seed"):
-        ExpansionParams(np.ones((2, 3)), seed=seed)
+        ExpansionParams.create(seed, 2, 3)
 
 
 def test_expansion_projection_is_frozen():
@@ -270,8 +270,7 @@ def test_one_text_alone_equals_its_row_in_a_batch_and_routes_by_it():
     texts = ["stack the cans", "", "Shelve the NOVEL, please!", "rinse the bottle",
              "ünïcödé  tëxt", "stack the cans", "lift " * 50]
     batch = featurize_batch(texts, CFG, params)
-    state = fit_base(batch, one_hot([0, 1, 2, 0, 1, 0, 2], 3), 1.0,
-                     featurizer=CFG, expansion_seed=CFG.seed)
+    state = fit_base(batch, one_hot([0, 1, 2, 0, 1, 0, 2], 3), 1.0, featurizer=CFG)
     router = Router(state)
     for text, row in zip(texts, batch):
         assert np.array_equal(featurize_batch([text], CFG, params)[0], row)

@@ -31,6 +31,7 @@ from taskrouter.scheduler import (
     predict,
     predict_proba,
     save_state,
+    state_sha256,
     update,
 )
 
@@ -76,12 +77,10 @@ def test_init_rejects_nonpositive_gamma(gamma):
 @pytest.mark.parametrize("field, bad", [
     ("gamma", True), ("gamma", "1.0"), ("gamma", float("inf")), ("gamma", 10**400),
     ("tasks_seen", True), ("tasks_seen", 1.5), ("tasks_seen", -1),
-    ("expansion_seed", True), ("expansion_seed", 1.0), ("expansion_seed", -1),
-    ("expansion_seed", 2**64),
 ])
 def test_state_refuses_wrong_types(field, bad):
     with pytest.raises(ValueError, match=field):
-        replace(init(2, 1.0, expansion_seed=0), **{field: bad})
+        replace(init(2, 1.0), **{field: bad})
 
 
 # -- fit_base ---------------------------------------------------------------
@@ -476,7 +475,7 @@ def _trained_state(with_featurizer=True):
     rng = np.random.default_rng(11)
     feats, labels = _random_batch(rng, 40, 12, 3)
     featurizer = FeaturizerConfig(seed=4, d_f=6, d_e=12) if with_featurizer else None
-    return fit_base(feats, labels, gamma=0.7, featurizer=featurizer, expansion_seed=4)
+    return fit_base(feats, labels, gamma=0.7, featurizer=featurizer)
 
 
 def test_save_load_round_trip_is_bit_exact(tmp_path):
@@ -490,7 +489,6 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert loaded.d_e == state.d_e and loaded.d_k == state.d_k
     assert loaded.tasks_seen == state.tasks_seen
     assert loaded.featurizer == state.featurizer
-    assert loaded.expansion_seed == state.expansion_seed
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -518,9 +516,15 @@ def _split_state(path):
     return json.loads(line), payload
 
 
+def _sha256(header, payload):
+    """The version-6 digest: the header's other fields as compact JSON, then the payload."""
+    fields = {k: v for k, v in header.items() if k != "sha256"}
+    return hashlib.sha256(json.dumps(fields, separators=(",", ":")).encode() + payload).hexdigest()
+
+
 def _write_state(path, header, payload, *, rehash=True):
     if rehash:
-        header = dict(header, payload_sha256=hashlib.sha256(payload).hexdigest())
+        header = dict(header, sha256=_sha256(header, payload))
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
@@ -604,16 +608,18 @@ def test_load_rejects_missing_keys(tmp_path):
 
 
 def test_state_file_is_header_line_then_l_triangle_and_z(tmp_path):
-    # Version 5: the raw payload is L's lower triangle, then Z, then W.
+    # Version 6: the raw payload is L's lower triangle, then Z, then W, and
+    # the header's sha256 covers its other fields and the payload.
     state = _trained_state()
     path = tmp_path / "state.json"
     save_state(state, path)
     header, payload = _split_state(path)
-    assert header == {
-        "version": 5, "d_e": 12, "d_K": 3, "gamma": 0.7, "tasks_seen": 1,
-        "featurizer": {"seed": 4, "d_f": 6, "d_e": 12}, "expansion_seed": 4,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    fields = {
+        "version": 6, "d_e": 12, "d_K": 3, "gamma": 0.7, "tasks_seen": 1,
+        "featurizer": {"seed": 4, "d_f": 6, "d_e": 12},
     }
+    assert header == dict(fields, sha256=_sha256(fields, payload))
+    assert state_sha256(state) == header["sha256"]
     triangle = state.L[np.tril_indices(12)]  # row by row, up to the diagonal
     assert payload == b"".join(a.astype("<f8").tobytes() for a in (triangle, state.Z, state.W))
     assert len(payload) == 8 * (12 * 13 // 2 + 2 * 12 * 3)
@@ -722,10 +728,10 @@ def test_loaded_arrays_are_contiguous_aligned_and_read_only(tmp_path):
         assert not arr.flags.writeable
 
 
-@pytest.mark.parametrize("key", ["d_e", "d_K", "gamma", "tasks_seen", "expansion_seed"])
+@pytest.mark.parametrize("key", ["d_e", "d_K", "gamma", "tasks_seen"])
 def test_load_rejects_bool_for_integer_header_field(tmp_path, key):
     # Every one of these fields is 1, so true would pass as an equal value.
-    state = expand_label_space(init(1, 1.0, expansion_seed=1), 1)
+    state = expand_label_space(init(1, 1.0), 1)
     state = update(state, np.ones((1, 1)), np.ones((1, 1)))
     path = tmp_path / "state.json"
     save_state(state, path)
@@ -737,13 +743,36 @@ def test_load_rejects_bool_for_integer_header_field(tmp_path, key):
         load_state(path)
 
 
-def test_load_names_a_negative_expansion_seed(tmp_path):
+def test_load_rejects_version_5_file(tmp_path):
+    # Version 5 had this payload, an expansion_seed beside the featurizer,
+    # and a digest of the payload alone.
+    path = tmp_path / "v5.state"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    del header["sha256"]
+    header.update(version=5, expansion_seed=4, payload_sha256=hashlib.sha256(payload).hexdigest())
+    _write_state(path, header, payload, rehash=False)
+    with pytest.raises(StateFormatError, match="unsupported state version 5"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", 0.75), ("tasks_seen", 2), ("featurizer.seed", 5), ("featurizer.d_f", 5),
+    ("featurizer.d_e", 13),
+])
+def test_load_refuses_an_edited_header_field(tmp_path, field, value):
+    # The digest covers the header, so a field edited without it is refused,
+    # even where the edited value would pass every other check.
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
     header, payload = _split_state(path)
-    header["expansion_seed"] = -1
-    _write_state(path, header, payload)
-    with pytest.raises(StateFormatError, match="expansion_seed"):
+    key, _, subkey = field.partition(".")
+    if subkey:
+        header[key][subkey] = value
+    else:
+        header[key] = value
+    _write_state(path, header, payload, rehash=False)
+    with pytest.raises(StateFormatError, match="do not match its sha256"):
         load_state(path)
 
 

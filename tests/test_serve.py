@@ -50,7 +50,7 @@ def served_files(tmp_path_factory):
 
 
 def _header_sha256(state_path):
-    return json.loads(state_path.read_bytes().partition(b"\n")[0])["payload_sha256"]
+    return json.loads(state_path.read_bytes().partition(b"\n")[0])["sha256"]
 
 
 def _requests():
@@ -133,8 +133,11 @@ def test_stats_reports_the_digest_in_the_served_state_header(served_files, tmp_p
         )
         assert proc.returncode == 0
         served = json.loads(proc.stdout)["state_sha256"]
-        payload = state.read_bytes().partition(b"\n")[2]
-        assert served == _header_sha256(state) == hashlib.sha256(payload).hexdigest()
+        line, _, payload = state.read_bytes().partition(b"\n")
+        # The digest covers the header's other fields, as compact JSON, then the payload.
+        fields = {k: v for k, v in json.loads(line).items() if k != "sha256"}
+        signed = json.dumps(fields, separators=(",", ":")).encode() + payload
+        assert served == _header_sha256(state) == hashlib.sha256(signed).hexdigest()
         digests.append(served)
     assert digests[0] != digests[1]
 
@@ -359,7 +362,9 @@ def test_router_requires_trained_featurized_state(served_files, tmp_path):
 def test_parse_endpoint():
     assert parse_endpoint("stdio") == ("stdio", "", 0)
     assert parse_endpoint("tcp:127.0.0.1:9000") == ("tcp", "127.0.0.1", 9000)
-    for bad in ("tcp:127.0.0.1", "tcp::", "tcp:host:notaport", "udp:1:2", "tcp:h:70000"):
+    for bad in ("tcp:127.0.0.1", "tcp::", "tcp:host:notaport", "udp:1:2", "tcp:h:70000",
+                "tcp:127.0.0.1:8_0", "tcp:127.0.0.1: 80", "tcp:127.0.0.1:+80",
+                "tcp:127.0.0.1:\u0668\u0660"):
         with pytest.raises(ValueError):
             parse_endpoint(bad)
 
