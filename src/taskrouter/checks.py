@@ -7,10 +7,11 @@ helper raises ``ValueError`` with a message that names the offending field.
 
 from __future__ import annotations
 
+import json
 import sys
 from typing import Iterable
 
-__all__ = ["is_int", "check_int", "check_number", "json_fields"]
+__all__ = ["is_int", "check_int", "check_number", "parse_json", "json_fields"]
 
 
 def is_int(value) -> bool:
@@ -34,6 +35,14 @@ def check_number(value, what: str) -> float:
         if abs(value) <= sys.float_info.max:
             return float(value)
     raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def parse_json(text: str | bytes, what: str):
+    """``text`` as JSON; bad or too deeply nested input is a ``ValueError`` led by ``what``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # deep nesting raises RecursionError
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def json_fields(doc, what: str, required: Iterable[str], optional: Iterable[str] = ()) -> dict:

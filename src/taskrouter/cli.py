@@ -18,7 +18,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import scheduler
 from .atomic import write_atomic
-from .checks import json_fields
+from .checks import json_fields, parse_json
 from .evaluation import PhasePlan, baseline_sequential, run_protocol
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
 from .service import Router, parse_endpoint, serve_stdio, serve_tcp
@@ -189,12 +189,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 def _load_plan(path: str) -> PhasePlan:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: invalid plan JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    try:
+        doc = parse_json(Path(path).read_text(encoding="utf-8"), "invalid plan JSON")
         return PhasePlan(**json_fields(doc, "plan", ("base_classes",), ("incremental_classes",)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

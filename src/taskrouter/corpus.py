@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .checks import check_int, json_fields
+from .checks import check_int, json_fields, parse_json
 
 __all__ = [
     "InstructionRecord",
@@ -234,10 +234,9 @@ def read_corpus(source: str | Path) -> list[InstructionRecord]:
             if not line:
                 continue
             try:
-                doc = json_fields(json.loads(line), "corpus record", ("text", "task_id", "split"))
+                doc = parse_json(line, "invalid JSON")
+                doc = json_fields(doc, "corpus record", ("text", "task_id", "split"))
                 records.append(InstructionRecord(**doc))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     if not records:

@@ -16,9 +16,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .atomic import write_atomic
-from .checks import check_int, check_number, json_fields
+from .checks import check_int, check_number, json_fields, parse_json
 
 __all__ = [
+    "MAX_CHUNK_ENTRIES",
     "ExecutorSpec",
     "Observation",
     "ActionChunk",
@@ -27,6 +28,10 @@ __all__ = [
     "load_manifest",
     "save_manifest",
 ]
+
+# Most entries (horizon x action_dim) in one action chunk: at about 20 bytes per
+# encoded float, one route response stays under the serve loop's 1 MiB output limit.
+MAX_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,9 @@ class ExecutorSpec:
             raise ValueError(f"executor field 'name' must be a string, got {self.name!r}")
         check_int(self.action_dim, "executor field 'action_dim'", 1)
         check_int(self.horizon, "executor field 'horizon'", 1)
+        if self.horizon * self.action_dim > MAX_CHUNK_ENTRIES:
+            raise ValueError(f"executor chunk of horizon {self.horizon} x action_dim "
+                             f"{self.action_dim} exceeds {MAX_CHUNK_ENTRIES} entries")
         check_int(self.seed, "executor field 'seed'")
         object.__setattr__(
             self, "amplitude", check_number(self.amplitude, "executor field 'amplitude'")
@@ -119,6 +127,8 @@ def execute(spec: ExecutorSpec, observation: Observation) -> ActionChunk:
     Repeated calls with the same inputs are identical; distinct task ids trace
     distinct paths. The proprioceptive mean shifts the whole chunk slightly so
     the observation is not ignored. The image digest is never interpreted.
+    No request carries an observation, so the service calls this once per
+    executor, with an empty one, when its ``Router`` is built.
     """
     prop = observation.proprioception
     rng = np.random.default_rng([spec.seed, spec.task_id])
@@ -137,10 +147,7 @@ def save_manifest(registry: ExecutorRegistry, destination: str | Path) -> None:
 
 
 def load_manifest(source: str | Path) -> ExecutorRegistry:
-    try:
-        doc = json.loads(Path(source).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt registry manifest: {exc}") from exc
+    doc = parse_json(Path(source).read_text(encoding="utf-8"), "corrupt registry manifest")
     if not isinstance(doc, list):
         raise ValueError("registry manifest must be a JSON array")
     return ExecutorRegistry(ExecutorSpec.from_dict(entry) for entry in doc)

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .checks import check_int, check_number, is_int, json_fields
+from .checks import check_int, check_number, is_int, json_fields, parse_json
 from .features import FeaturizerConfig
 
 __all__ = [
@@ -438,16 +438,13 @@ def _read_header(handle) -> dict:
             f"state header is not a line of at most {HEADER_LIMIT} bytes"
         )
     try:
-        header = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StateFormatError(f"corrupt state header: {exc}") from exc
-    # The version decides the layout, so a header of another version is
-    # refused as such before its keys are held against this version's.
-    if isinstance(header, dict) and "version" in header:
-        version = header["version"]
-        if not (is_int(version) and version == STATE_VERSION):
-            raise _unsupported_version(version)
-    try:
+        header = parse_json(line, "corrupt state header")
+        # The version decides the layout, so a header of another version is
+        # refused as such before its keys are held against this version's.
+        if isinstance(header, dict) and "version" in header:
+            version = header["version"]
+            if not (is_int(version) and version == STATE_VERSION):
+                raise _unsupported_version(version)
         json_fields(header, "state header", _HEADER_FIELDS)
         check_int(header["d_e"], "d_e", 1)
         check_int(header["d_K"], "d_K")

@@ -28,7 +28,7 @@ from typing import IO
 import numpy as np
 
 from . import library
-from .checks import json_fields
+from .checks import json_fields, parse_json
 from .features import ExpansionParams, featurize_batch
 from .library import ExecutorRegistry, Observation
 from .scheduler import SchedulerState, load_state, predict_proba, state_sha256
@@ -53,6 +53,7 @@ def _encode(response: dict) -> bytes:
 
 _TOO_LONG = _encode({"error": f"request line exceeds {REQUEST_LINE_LIMIT} bytes"})
 _TOO_MANY = _encode({"error": f"too many connections; at most {MAX_CONNECTIONS}"})
+_NO_EXECUTOR = (None, None, "")  # name, chunk and response fragment of a missing executor
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,10 @@ class Router:
     """A read-only routing snapshot: state, expansion params, registry.
 
     The expansion params are made from the state's featurizer config, whose
-    seed fixes them; :attr:`state_sha256` covers that config too.
+    seed fixes them; :attr:`state_sha256` covers that config too. The
+    registry is read only here, at construction: each executor's action chunk
+    (read-only) and its encoded response fragment are computed once, so a
+    request only featurizes, predicts and picks the most probable task.
     """
 
     def __init__(
@@ -98,6 +102,14 @@ class Router:
         self.state = state
         self.registry = registry if registry is not None else ExecutorRegistry()
         self.params = ExpansionParams.for_config(state.featurizer)
+        # task id -> (executor name, action chunk, its route response fragment)
+        self._executors: dict[int, tuple[str, np.ndarray, str]] = {}
+        for spec in self.registry:
+            chunk = library.execute(spec, Observation(np.zeros(0))).actions
+            chunk.flags.writeable = False
+            fragment = (f', "executor_name": {json.dumps(spec.name)}, '
+                        f'"action_chunk": {json.dumps(chunk.tolist())}')
+            self._executors[spec.task_id] = (spec.name, chunk, fragment)
 
     @classmethod
     def from_files(
@@ -110,25 +122,19 @@ class Router:
         return cls(state, registry)
 
     def route(self, text: str) -> RouteResult:
-        """Featurize, pick the most probable task, and run its executor if any."""
+        """Featurize, pick the most probable task, and look up its executor's chunk."""
         start = time.perf_counter()
         vector = featurize_batch([text], self.state.featurizer, self.params)[0]
         probs = predict_proba(self.state, vector)
         task_id = int(np.argmax(probs))
-        spec = self.registry.lookup(task_id)
-        chunk = None
-        if spec is not None:
-            observation = Observation(
-                proprioception=np.zeros(0), image_digest=b"", instruction=text
-            )
-            chunk = library.execute(spec, observation).actions
+        name, chunk, _ = self._executors.get(task_id, _NO_EXECUTOR)
         latency = int(round((time.perf_counter() - start) * 1e6))
         return RouteResult(
             task_id=task_id,
             probabilities=[float(p) for p in probs],
-            executor_name=None if spec is None else spec.name,
+            executor_name=name,
             action_chunk=chunk,
-            missing_executor=spec is None,
+            missing_executor=name is None,
             latency_micros=latency,
         )
 
@@ -150,27 +156,30 @@ class Router:
             "state_sha256": self.state_sha256,
         }
 
-    def handle_request_line(self, line: str) -> dict:
-        """One request line to one response dict; never raises."""
+    def handle_request_line(self, line: str) -> bytes:
+        """One request line to one response line, newline included; never raises."""
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return {"error": f"invalid JSON: {exc}"}
-        if not isinstance(doc, dict):
-            return {"error": "request must be a JSON object"}
-        op = doc.get("op")
-        try:
+            doc = parse_json(line, "invalid JSON")
+            if not isinstance(doc, dict):
+                return _encode({"error": "request must be a JSON object"})
+            op = doc.get("op")
             if op == "route":
                 text = json_fields(doc, "route request", ("op", "text"))["text"]
                 if not isinstance(text, str):
-                    return {"error": "route request needs a string 'text' field"}
-                return self.route(text).to_json_dict()
+                    return _encode({"error": "route request needs a string 'text' field"})
+                result = self.route(text)
+                # The bytes of _encode(result.to_json_dict()), from the stored fragment.
+                head = json.dumps({"task_id": result.task_id, "probabilities": result.probabilities,
+                                   "missing_executor": result.missing_executor})
+                fragment = self._executors.get(result.task_id, _NO_EXECUTOR)[2]
+                return (f'{head[:-1]}{fragment}, "latency_micros": '
+                        f'{result.latency_micros}}}\n').encode("utf-8")
             if op == "stats":
                 json_fields(doc, "stats request", ("op",))
-                return self.stats()
-            return {"error": f"unknown op {op!r}"}
+                return _encode(self.stats())
+            return _encode({"error": f"unknown op {op!r}"})
         except Exception as exc:  # a bad request must not kill the loop
-            return {"error": str(exc)}
+            return _encode({"error": str(exc)})
 
 
 class _Requests:
@@ -223,7 +232,7 @@ class _Requests:
                 return _TOO_LONG
             line = raw.decode("utf-8", errors="replace").strip()
             if line:
-                return _encode(router.handle_request_line(line))
+                return router.handle_request_line(line)
 
 
 def serve_stdio(router: Router, in_stream: IO[bytes], out_stream: IO[bytes]) -> None:

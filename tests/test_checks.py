@@ -93,3 +93,21 @@ def test_every_reader_refuses_an_unknown_key(tmp_path, reader):
     error = StateFormatError if reader is _state_header else ValueError
     with pytest.raises(error, match=rf"unknown .* field\(s\) \['{key}'\]"):
         read()
+
+
+# -- every file reader refuses deep nesting ---------------------------------------
+
+
+@pytest.mark.parametrize("read, error, message", [
+    (read_corpus, ValueError, "line 1: invalid JSON"),
+    (load_manifest, ValueError, "corrupt registry manifest"),
+    (lambda path: _load_plan(str(path)), ValueError, "invalid plan JSON"),
+    (load_state, StateFormatError, "corrupt state header"),
+], ids=["corpus-line", "manifest", "plan-file", "state-header"])
+def test_every_file_reader_refuses_deep_nesting(tmp_path, read, error, message):
+    # json.loads raises RecursionError on such input. The line fits the state
+    # header's bound, so every reader parses it.
+    path = tmp_path / "doc"
+    path.write_bytes(b"[" * 60_000 + b"\n")
+    with pytest.raises(error, match=message):
+        read(path)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from taskrouter.library import (
+    MAX_CHUNK_ENTRIES,
     ActionChunk,
     ExecutorRegistry,
     ExecutorSpec,
@@ -65,6 +68,19 @@ def test_spec_validation():
     for amplitude in (float("inf"), float("nan"), 10**400):
         with pytest.raises(ValueError, match="amplitude"):
             _spec(0, amplitude=amplitude)
+
+
+def test_spec_refuses_a_chunk_over_the_entry_bound(tmp_path):
+    # Refused from its fields alone: no chunk is allocated.
+    assert _spec(0, horizon=MAX_CHUNK_ENTRIES, action_dim=1).horizon == MAX_CHUNK_ENTRIES
+    for horizon, action_dim in ((MAX_CHUNK_ENTRIES + 1, 1), (1 << 8, 1 << 8), (10**9, 10**9)):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_CHUNK_ENTRIES} entries"):
+            _spec(0, horizon=horizon, action_dim=action_dim)
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps([{"task_id": 0, "name": "x", "action_dim": 10**9,
+                                 "horizon": 10**9}]))
+    with pytest.raises(ValueError, match="exceeds"):
+        load_manifest(path)
 
 
 # -- execute -----------------------------------------------------------------

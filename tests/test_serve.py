@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 
 from taskrouter import service
 from taskrouter.cli import main
+from taskrouter.corpus import read_corpus
 from taskrouter.library import ExecutorRegistry, ExecutorSpec, save_manifest
 from taskrouter.scheduler import init, save_state
 from taskrouter.service import (
@@ -199,6 +201,18 @@ def test_stdio_and_tcp_answer_the_same_bytes_alike(served_files):
     assert answered[2]["task_id"] == 0 and answered[3]["task_id"] == 1
 
 
+def test_tcp_deeply_nested_line_gets_an_error_line_and_serve_lives(served_files):
+    deep = b"[" * 100_000 + b"\n"  # json.loads raises RecursionError on it
+    with _tcp_port(served_files) as port, _connect(port) as conn:
+        conn.sendall(deep)
+        (refused,) = _read_lines(conn, 1)
+        with _connect(port) as other:
+            other.sendall(json.dumps({"op": "stats"}).encode() + b"\n")
+            (stats,) = _read_lines(other, 1)
+    assert refused["error"].startswith("invalid JSON")
+    assert stats["d_K"] == 3
+
+
 def test_tcp_oversized_line_gets_one_error_line(served_files):
     route = json.dumps({"op": "route", "text": "stack the red tomatoes on the plate"})
     with _tcp_port(served_files) as port, _connect(port) as conn:
@@ -294,7 +308,7 @@ def test_connection_holds_back_answers_while_its_output_is_full(served_files):
     router = Router.from_files(served_files["state"], served_files["registry"])
     route = json.dumps({"op": "route", "text": "pick up the ripe banana"}).encode() + b"\n"
     # A little over one response: latency_micros varies in its digits.
-    response_size = len(json.dumps(router.handle_request_line(route.decode()))) + 32
+    response_size = len(json.dumps(json.loads(router.handle_request_line(route.decode())))) + 32
     server_end, client_end = socket.socketpair()
     with server_end, client_end:
         client_end.settimeout(30)
@@ -371,10 +385,40 @@ def test_parse_endpoint():
 
 def test_handle_request_line_never_raises(served_files):
     router = Router.from_files(served_files["state"], served_files["registry"])
-    assert "error" in router.handle_request_line("[1,2,3]")
-    assert "error" in router.handle_request_line("{}")
-    response = router.handle_request_line(json.dumps({"op": "route", "text": ""}))
+    assert "error" in json.loads(router.handle_request_line("[1,2,3]"))
+    assert "error" in json.loads(router.handle_request_line("{}"))
+    response = json.loads(router.handle_request_line(json.dumps({"op": "route", "text": ""})))
     assert "task_id" in response
+    assert "error" in json.loads(router.handle_request_line("[" * 100_000))
+
+
+def test_route_response_bytes_are_the_encoded_route_result(served_files):
+    # The serve loop encodes routes from fragments built with the Router; its
+    # bytes must be those of encoding the route result whole.
+    served = Router.from_files(served_files["state"], served_files["registry"])
+    texts = [r.text for r in read_corpus(served_files["corpus"])]
+    renamed = ExecutorRegistry([ExecutorSpec(task_id=0, name="exécuteur-ü", action_dim=3,
+                                             horizon=5, seed=7, amplitude=0.5),
+                                ExecutorSpec(task_id=1, name="exec-1", action_dim=4, horizon=6)])
+    cases = [
+        (served, {"exec-0", "exec-1", "exec-2"}),
+        (Router(served.state, renamed), {"exécuteur-ü", "exec-1", None}),  # 2 has no executor
+        (Router(served.state), {None}),
+    ]
+    for router, expected_names in cases:
+        names = set()
+        for text in texts:
+            line = router.handle_request_line(json.dumps({"op": "route", "text": text}))
+            result = router.route(text)
+            latency = json.loads(line)["latency_micros"]
+            assert line == service._encode(
+                dataclasses.replace(result, latency_micros=latency).to_json_dict()
+            )
+            names.add(result.executor_name)
+            if result.action_chunk is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    result.action_chunk[0, 0] = 0.0
+        assert names == expected_names
 
 
 @pytest.mark.parametrize("request_doc, key", [
@@ -383,7 +427,7 @@ def test_handle_request_line_never_raises(served_files):
 ], ids=["stats", "route"])
 def test_requests_refuse_unknown_keys(served_files, request_doc, key):
     router = Router.from_files(served_files["state"], served_files["registry"])
-    response = router.handle_request_line(json.dumps(request_doc))
+    response = json.loads(router.handle_request_line(json.dumps(request_doc)))
     assert set(response) == {"error"} and key in response["error"]
 
 
