@@ -32,6 +32,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,6 @@ __all__ = [
     "expand_label_space",
     "predict_proba",
     "predict",
-    "state_sha256",
     "save_state",
     "load_state",
 ]
@@ -93,7 +93,7 @@ class SchedulerState:
     ``W = L⁻ᵀ Z`` the routing weights. ``d_e`` and ``d_k`` are read from
     their shapes. ``featurizer`` records how inputs must be featurized, its
     seed fixing the expansion too, and may be absent for states driven with
-    raw feature matrices.
+    raw feature matrices. :attr:`sha256` fingerprints all of it.
     """
 
     L: np.ndarray
@@ -123,6 +123,22 @@ class SchedulerState:
     @property
     def d_k(self) -> int:
         return self.Z.shape[1]
+
+    @cached_property
+    def sha256(self) -> str:
+        """The state's fingerprint, the ``sha256`` in its file's header.
+
+        The digest of the canonical header (every header field but the
+        digest, in file order, as compact JSON), then L's triangle row by
+        row, then Z, then W. It covers everything a state means, so two
+        states with the same value route every input alike. It is computed
+        at most once per state, so L, Z and W must not change after it is
+        read; every state this module makes holds them read-only.
+        """
+        digest = hashlib.sha256(json.dumps(_header(self), separators=(",", ":")).encode("utf-8"))
+        for part in _payload(self):
+            digest.update(part)  # hashes the array's buffer in place
+        return digest.hexdigest()
 
     @property
     def R(self) -> np.ndarray:
@@ -380,48 +396,22 @@ def _header(state: SchedulerState) -> dict:
     }
 
 
-def _canonical(header: dict) -> bytes:
-    """The digested form of a header: every field but the digest, in file order, compact JSON."""
-    return json.dumps(
-        {key: header[key] for key in _HEADER_FIELDS[:-1]}, separators=(",", ":")
-    ).encode("utf-8")
-
-
-def _digest(header: dict, parts: list[np.ndarray]) -> str:
-    digest = hashlib.sha256(_canonical(header))
-    for part in parts:
-        digest.update(part)  # hashes the array's buffer in place
-    return digest.hexdigest()
-
-
-def state_sha256(state: SchedulerState) -> str:
-    """The ``sha256`` :func:`save_state` writes: of the canonical header, then the payload.
-
-    It covers everything a state means, its featurizer and ``gamma`` as well
-    as L, Z and W, so it fingerprints which state a process holds.
-    """
-    return _digest(_header(state), _payload(state))
-
-
 def save_state(state: SchedulerState, destination: str | Path) -> None:
     """Write the state as one JSON header line followed by a raw payload.
 
     The header holds ``version``, ``d_e``, ``d_K``, ``gamma``,
-    ``tasks_seen``, ``featurizer`` and ``sha256``, the digest of the other
-    fields in that order (compact JSON, as written here) followed by the
-    payload. The payload is each row of L up to its diagonal (``L[i, :i+1]``,
-    row by row), then Z and then W (each d_e x d_K, C order), as raw
-    little-endian float64. L's upper triangle is zero, so it is not stored.
+    ``tasks_seen``, ``featurizer`` and ``sha256``, the state's
+    :attr:`~SchedulerState.sha256`, in that order as compact JSON. The
+    payload is each row of L up to its diagonal (``L[i, :i+1]``, row by
+    row), then Z and then W (each d_e x d_K, C order), as raw little-endian
+    float64. L's upper triangle is zero, so it is not stored.
     W is stored although L and Z determine it, so that a loading process
     need not solve for it, nor import SciPy to do so. Equal states give
     equal bytes, so a save/load/save cycle is byte-identical, and the file
     is replaced atomically.
     """
-    parts = _payload(state)
-    header = _header(state)
-    header["sha256"] = _digest(header, parts)
-    line = json.dumps(header, separators=(",", ":")) + "\n"
-    write_atomic(destination, line.encode("utf-8"), *parts)
+    line = json.dumps(dict(_header(state), sha256=state.sha256), separators=(",", ":")) + "\n"
+    write_atomic(destination, line.encode("utf-8"), *_payload(state))
 
 
 def _unsupported_version(version) -> StateFormatError:
@@ -456,13 +446,16 @@ def _read_header(handle) -> dict:
 def load_state(source: str | Path) -> SchedulerState:
     """Load a state file, validating its header, payload and invariants.
 
-    The payload must be exactly as long as the header's shapes require, the
-    header's ``sha256`` must match its other fields followed by the payload,
-    every field passes the state's own checks, whose ``ValueError`` becomes a
-    :class:`StateFormatError`, and L may have no zero on its diagonal. L, Z
-    and W are read into freshly allocated, aligned, read-only arrays, L's
-    upper triangle left zero, so a loaded state's W is the saved one's, bit
-    for bit. Only numpy is used.
+    The payload must be exactly as long as the header's shapes require, L
+    may have no zero on its diagonal, and every field passes the state's own
+    checks, whose ``ValueError`` becomes a :class:`StateFormatError`. The
+    state built from them must then have the header's ``sha256`` as its own
+    :attr:`~SchedulerState.sha256`, so a header spelled otherwise than the
+    state would write it back, such as ``"gamma": 1``, is refused; the
+    returned state keeps that digest, already computed. L, Z and W are read
+    into freshly allocated, aligned, read-only arrays, L's upper triangle
+    left zero, so a loaded state's W is the saved one's, bit for bit. Only
+    numpy is used.
 
     The stored W is authoritative: it is not checked against L⁻ᵀZ. The
     digest rules out a W that disagrees with L and Z by accident, and the
@@ -484,14 +477,10 @@ def load_state(source: str | Path) -> SchedulerState:
         lower = np.zeros((d_e, d_e), dtype=_PAYLOAD_DTYPE)
         z = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
         w = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
-        digest = hashlib.sha256(_canonical(header))
         for part in _parts(lower, z, w):
             if handle.readinto(part) != part.nbytes:
                 raise StateFormatError("state payload is truncated")
-            digest.update(part)
 
-    if digest.hexdigest() != header["sha256"]:
-        raise StateFormatError("state header and payload do not match its sha256")
     # A NaN is nonzero, so a non-finite diagonal passes here; the state's own
     # finiteness scan refuses it below.
     if not lower.diagonal().all():
@@ -499,7 +488,7 @@ def load_state(source: str | Path) -> SchedulerState:
     _freeze(lower, z, w)
     featurizer = header["featurizer"]
     try:
-        return SchedulerState(
+        state = SchedulerState(
             L=lower,
             Z=z,
             W=w,
@@ -509,3 +498,6 @@ def load_state(source: str | Path) -> SchedulerState:
         )
     except ValueError as exc:
         raise StateFormatError(str(exc)) from exc
+    if state.sha256 != header["sha256"]:
+        raise StateFormatError("state header and payload do not match its sha256")
+    return state

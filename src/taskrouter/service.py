@@ -21,7 +21,6 @@ import selectors
 import socket
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import IO
 
@@ -31,7 +30,7 @@ from . import library
 from .checks import json_fields, parse_json
 from .features import ExpansionParams, featurize_batch
 from .library import ExecutorRegistry, Observation
-from .scheduler import SchedulerState, load_state, predict_proba, state_sha256
+from .scheduler import SchedulerState, load_state, predict_proba
 
 __all__ = ["MAX_CONNECTIONS", "OUTPUT_LIMIT", "REQUEST_LINE_LIMIT", "RouteResult", "Router",
            "serve_stdio", "serve_tcp", "parse_endpoint"]
@@ -84,10 +83,12 @@ class Router:
     """A read-only routing snapshot: state, expansion params, registry.
 
     The expansion params are made from the state's featurizer config, whose
-    seed fixes them; :attr:`state_sha256` covers that config too. The
-    registry is read only here, at construction: each executor's action chunk
-    (read-only) and its encoded response fragment are computed once, so a
-    request only featurizes, predicts and picks the most probable task.
+    seed fixes them; the state's ``sha256``, which ``stats`` reports, covers
+    that config too. The registry is read only here, at construction: for
+    each executor of a class the state can route to (``task_id < d_K``), its
+    action chunk (read-only) and its encoded response fragment are computed
+    once, so a request only featurizes, predicts and picks the most probable
+    task. :attr:`registry` keeps every spec, reachable or not.
     """
 
     def __init__(
@@ -105,6 +106,8 @@ class Router:
         # task id -> (executor name, action chunk, its route response fragment)
         self._executors: dict[int, tuple[str, np.ndarray, str]] = {}
         for spec in self.registry:
+            if spec.task_id >= state.d_k:
+                continue
             chunk = library.execute(spec, Observation(np.zeros(0))).actions
             chunk.flags.writeable = False
             fragment = (f', "executor_name": {json.dumps(spec.name)}, '
@@ -138,22 +141,13 @@ class Router:
             latency_micros=latency,
         )
 
-    @cached_property
-    def state_sha256(self) -> str:
-        """Fingerprint of the served state: the ``sha256`` in its file's header.
-
-        It covers every header field (the featurizer config, ``gamma``,
-        ``tasks_seen`` and the shapes) and L, Z and W, so two processes that
-        report the same value pick the same task for every text.
-        """
-        return state_sha256(self.state)
-
     def stats(self) -> dict:
+        """The served state's shape and fingerprint; ``state_sha256`` is its file's ``sha256``."""
         return {
             "d_K": self.state.d_k,
             "tasks_seen": self.state.tasks_seen,
             "gamma": self.state.gamma,
-            "state_sha256": self.state_sha256,
+            "state_sha256": self.state.sha256,
         }
 
     def handle_request_line(self, line: str) -> bytes:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import ridge_weights
@@ -31,7 +31,6 @@ from taskrouter.scheduler import (
     predict,
     predict_proba,
     save_state,
-    state_sha256,
     update,
 )
 
@@ -619,7 +618,7 @@ def test_state_file_is_header_line_then_l_triangle_and_z(tmp_path):
         "featurizer": {"seed": 4, "d_f": 6, "d_e": 12},
     }
     assert header == dict(fields, sha256=_sha256(fields, payload))
-    assert state_sha256(state) == header["sha256"]
+    assert state.sha256 == header["sha256"]
     triangle = state.L[np.tril_indices(12)]  # row by row, up to the diagonal
     assert payload == b"".join(a.astype("<f8").tobytes() for a in (triangle, state.Z, state.W))
     assert len(payload) == 8 * (12 * 13 // 2 + 2 * 12 * 3)
@@ -762,7 +761,9 @@ def test_load_rejects_version_5_file(tmp_path):
 ])
 def test_load_refuses_an_edited_header_field(tmp_path, field, value):
     # The digest covers the header, so a field edited without it is refused,
-    # even where the edited value would pass every other check.
+    # even where the edited value would pass every other check. The state is
+    # built before it is hashed, so a featurizer d_e that disagrees with L is
+    # refused by that check first.
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
     header, payload = _split_state(path)
@@ -772,8 +773,99 @@ def test_load_refuses_an_edited_header_field(tmp_path, field, value):
     else:
         header[key] = value
     _write_state(path, header, payload, rehash=False)
+    error = "featurizer d_e disagrees" if field == "featurizer.d_e" else "do not match its sha256"
+    with pytest.raises(StateFormatError, match=error):
+        load_state(path)
+
+
+@pytest.fixture(scope="module")
+def unit_gamma_file(tmp_path_factory):
+    """A saved d_e=8 state with gamma 1.0 and featurizer (seed 1, d_f 3, d_e 8)."""
+    rng = np.random.default_rng(8)
+    feats, labels = _random_batch(rng, 20, 8, 2)
+    path = tmp_path_factory.mktemp("state") / "unit.state"
+    save_state(fit_base(feats, labels, gamma=1.0,
+                        featurizer=FeaturizerConfig(seed=1, d_f=3, d_e=8)), path)
+    return path
+
+
+# Two headers that hold the state's own values, spelled otherwise than
+# save_state writes them.
+_INTEGER_GAMMA = ("gamma", 1)
+_REORDERED_FEATURIZER = ("featurizer", {"d_e": 8, "d_f": 3, "seed": 1})
+
+
+@pytest.mark.parametrize("field, value", [_INTEGER_GAMMA, _REORDERED_FEATURIZER],
+                         ids=["integer-gamma", "featurizer-keys-reordered"])
+def test_load_refuses_a_header_signed_over_another_spelling(unit_gamma_file, tmp_path,
+                                                           field, value):
+    # The digest is the state's own, of the header as it would be written
+    # back, so signing the file's own spelling of the same values is not
+    # enough: stats would report another digest than the header's.
+    header, payload = _split_state(unit_gamma_file)
+    header[field] = value
+    path = tmp_path / "state.json"
+    _write_state(path, header, payload)
     with pytest.raises(StateFormatError, match="do not match its sha256"):
         load_state(path)
+
+
+# Values a header field could hold, the plausible ones first, so that some
+# edits load and the re-save is exercised as well as the refusals.
+_JSON_VALUES = st.one_of(
+    st.integers(0, 3), st.floats(0.25, 4.0),
+    st.fixed_dictionaries({"seed": st.integers(-1, 3), "d_f": st.integers(0, 9),
+                           "d_e": st.sampled_from([8, 8, 9])}),
+    st.none(), st.booleans(), st.integers(-2, 2**65), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(0, 9), max_size=3),
+)
+_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("insert"), st.integers(0, 1 << 20), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("field"), st.sampled_from(
+        ["version", "d_e", "d_K", "gamma", "tasks_seen", "featurizer"]), _JSON_VALUES),
+)
+
+
+def _edited(data: bytes, edit) -> bytes:
+    """``data`` with one bit flipped, cut short, grown, or one header field replaced and re-signed."""
+    kind, where, *rest = edit
+    if kind == "field":
+        line, _, payload = data.partition(b"\n")
+        header = dict(json.loads(line), **{where: rest[0]})
+        header = dict(header, sha256=_sha256(header, payload))
+        return json.dumps(header).encode("utf-8") + b"\n" + payload
+    at = where % (len(data) + 1)
+    if kind == "truncate":
+        return data[:at]
+    if kind == "insert":
+        return data[:at] + rest[0] + data[at:]
+    flipped = bytearray(data)
+    flipped[at % len(data)] ^= 1 << rest[0]
+    return bytes(flipped)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_EDITS)
+@example(("field", *_INTEGER_GAMMA))
+@example(("field", *_REORDERED_FEATURIZER))
+def test_load_refuses_or_returns_the_state_its_header_names(unit_gamma_file, edit):
+    # Whatever is done to a state file, loading it gives a StateFormatError
+    # or a state that is what its header signs; no other exception escapes.
+    edited = _edited(unit_gamma_file.read_bytes(), edit)
+    path = unit_gamma_file.with_name("edited.state")
+    path.write_bytes(edited)
+    try:
+        state = load_state(path)
+    except StateFormatError:
+        return
+    assert state.sha256 == json.loads(edited.partition(b"\n")[0])["sha256"]
+    resaved = unit_gamma_file.with_name("resaved.state")
+    save_state(state, resaved)
+    again = load_state(resaved)
+    for name in ("L", "Z", "W"):
+        assert np.array_equal(getattr(again, name), getattr(state, name)), name
 
 
 def test_load_rejects_string_bool_in_featurizer(tmp_path):

@@ -16,11 +16,11 @@ import time
 
 import pytest
 
-from taskrouter import service
+from taskrouter import library, scheduler, service
 from taskrouter.cli import main
 from taskrouter.corpus import read_corpus
 from taskrouter.library import ExecutorRegistry, ExecutorSpec, save_manifest
-from taskrouter.scheduler import init, save_state
+from taskrouter.scheduler import init, load_state, save_state
 from taskrouter.service import (
     MAX_CONNECTIONS,
     OUTPUT_LIMIT,
@@ -142,6 +142,43 @@ def test_stats_reports_the_digest_in_the_served_state_header(served_files, tmp_p
         assert served == _header_sha256(state) == hashlib.sha256(signed).hexdigest()
         digests.append(served)
     assert digests[0] != digests[1]
+
+
+def test_first_stats_after_loading_hashes_nothing(served_files, tmp_path, monkeypatch):
+    # The header is written with spaces, as the state's own compact header is
+    # not; it still loads, since the digest is of the state, and the state
+    # keeps the digest it was checked against, so stats reports it unhashed.
+    line, _, payload = served_files["state"].read_bytes().partition(b"\n")
+    header = json.loads(line)
+    spaced = tmp_path / "spaced.state"
+    spaced.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    router = Router.from_files(spaced, served_files["registry"])
+
+    def refuse(*args):
+        raise AssertionError("the state was hashed again")
+
+    monkeypatch.setattr(scheduler.hashlib, "sha256", refuse)
+    monkeypatch.setattr(scheduler, "_payload", refuse)
+    assert router.stats()["state_sha256"] == header["sha256"]
+
+
+def test_router_executes_only_the_classes_its_state_can_route_to(served_files, monkeypatch):
+    # The state has 3 classes, so entries for task ids 3-5 can never be
+    # routed to: they are not executed, but the registry keeps them.
+    registry = ExecutorRegistry(
+        ExecutorSpec(task_id=i, name=f"exec-{i}", action_dim=4, horizon=6) for i in range(6)
+    )
+    executed = []
+    real_execute = library.execute
+
+    def execute(spec, observation):
+        executed.append(spec.task_id)
+        return real_execute(spec, observation)
+
+    monkeypatch.setattr(library, "execute", execute)
+    router = Router(load_state(served_files["state"]), registry)
+    assert sorted(executed) == [0, 1, 2]
+    assert router.registry.lookup(5).name == "exec-5"
 
 
 def test_stdio_survives_garbage_lines(served_files):
