@@ -41,22 +41,9 @@ from .atomic import write_atomic
 from .checks import check_int, check_number, is_int, json_fields, parse_json
 from .features import FeaturizerConfig
 
-__all__ = [
-    "STATE_VERSION",
-    "HEADER_LIMIT",
-    "NumericalError",
-    "StateFormatError",
-    "SchedulerState",
-    "one_hot",
-    "init",
-    "fit_base",
-    "update",
-    "expand_label_space",
-    "predict_proba",
-    "predict",
-    "save_state",
-    "load_state",
-]
+__all__ = ["STATE_VERSION", "HEADER_LIMIT", "NumericalError", "StateFormatError", "SchedulerState",
+           "Weights", "one_hot", "init", "fit_base", "update", "expand_label_space",
+           "predict_proba", "predict", "save_state", "load_state", "load_weights"]
 
 STATE_VERSION = 6
 
@@ -83,17 +70,37 @@ class StateFormatError(ValueError):
     """A persisted state file is malformed, truncated, or inconsistent."""
 
 
+class _Routable:
+    """W, gamma, tasks_seen and featurizer as routing reads them, checked alike in both types."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gamma", _as_gamma(self.gamma))
+        check_int(self.tasks_seen, "tasks_seen")
+        if self.featurizer is not None and self.featurizer.d_e != self.d_e:
+            raise ValueError("featurizer d_e disagrees with the state's d_e")
+
+    @property
+    def d_e(self) -> int:
+        return self.W.shape[0]
+
+    @property
+    def d_k(self) -> int:
+        return self.W.shape[1]
+
+
 @dataclass(frozen=True)
-class SchedulerState:
+class SchedulerState(_Routable):
     """Sufficient statistics of the router plus the featurization it expects.
 
     ``L`` (d_e x d_e, lower triangular) is the square root of the
     regularised Gram matrix, ``L Lᵀ = FᵀF + gamma I``; ``Z = L⁻¹ Q``
     (d_e x d_k) carries the feature/label moments ``Q = FᵀY``; and
-    ``W = L⁻ᵀ Z`` the routing weights. ``d_e`` and ``d_k`` are read from
-    their shapes. ``featurizer`` records how inputs must be featurized, its
-    seed fixing the expansion too, and may be absent for states driven with
-    raw feature matrices. :attr:`sha256` fingerprints all of it.
+    ``W = L⁻ᵀ Z`` the routing weights. ``featurizer`` records how inputs
+    must be featurized, its seed fixing the expansion too, and may be absent
+    for states driven with raw feature matrices. :attr:`sha256`
+    fingerprints all of it. L, Z and W are read-only; one passed in
+    writable is copied first, so its owner cannot change the state under
+    its cached digest.
     """
 
     L: np.ndarray
@@ -104,25 +111,18 @@ class SchedulerState:
     featurizer: FeaturizerConfig | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", _as_gamma(self.gamma))
         if self.L.ndim != 2 or self.L.shape[0] != self.L.shape[1]:
             raise ValueError("L must be a square matrix")
-        if self.Z.ndim != 2 or self.Z.shape[0] != self.d_e or self.W.shape != self.Z.shape:
+        if self.Z.ndim != 2 or self.W.shape != self.Z.shape or len(self.Z) != len(self.L):
             raise ValueError("Z and W must have shape (d_e, d_k)")
-        for name, arr in (("L", self.L), ("Z", self.Z), ("W", self.W)):
+        super().__post_init__()
+        for name in ("L", "Z", "W"):
+            arr = getattr(self, name)
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
-        check_int(self.tasks_seen, "tasks_seen")
-        if self.featurizer is not None and self.featurizer.d_e != self.d_e:
-            raise ValueError("featurizer d_e disagrees with the state's d_e")
-
-    @property
-    def d_e(self) -> int:
-        return self.L.shape[0]
-
-    @property
-    def d_k(self) -> int:
-        return self.Z.shape[1]
+            if arr.flags.writeable:  # the caller's array, which it could still write
+                object.__setattr__(self, name, np.array(arr))
+                _freeze(getattr(self, name))
 
     @cached_property
     def sha256(self) -> str:
@@ -132,8 +132,8 @@ class SchedulerState:
         digest, in file order, as compact JSON), then L's triangle row by
         row, then Z, then W. It covers everything a state means, so two
         states with the same value route every input alike. It is computed
-        at most once per state, so L, Z and W must not change after it is
-        read; every state this module makes holds them read-only.
+        at most once per state; a loaded state keeps the one its file was
+        checked against.
         """
         digest = hashlib.sha256(json.dumps(_header(self), separators=(",", ":")).encode("utf-8"))
         for part in _payload(self):
@@ -161,6 +161,21 @@ class SchedulerState:
     def Q(self) -> np.ndarray:
         """The feature/label moment matrix L Z, derived on each read."""
         return self.L @ self.Z
+
+
+@dataclass(frozen=True)
+class Weights(_Routable):
+    """W and the scalar fields of a state file, which :func:`load_weights` checks whole.
+
+    W is C-ordered and read-only, ``sha256`` is the digest the file was
+    verified against, and there is no L or Z.
+    """
+
+    W: np.ndarray
+    gamma: float
+    tasks_seen: int
+    featurizer: FeaturizerConfig | None
+    sha256: str
 
 
 def _as_gamma(gamma) -> float:
@@ -334,7 +349,7 @@ def expand_label_space(state: SchedulerState, new_d_k: int) -> SchedulerState:
     return replace(state, Z=z, W=w)
 
 
-def predict_proba(state: SchedulerState, expanded: np.ndarray) -> np.ndarray:
+def predict_proba(state: SchedulerState | Weights, expanded: np.ndarray) -> np.ndarray:
     """Softmax over the linear logits ``expanded @ W``.
 
     Accepts a single d_e vector or an (n, d_e) matrix; the result matches the
@@ -368,32 +383,21 @@ def predict(state: SchedulerState, expanded: np.ndarray):
     return np.argmax(probs, axis=1)
 
 
-def _parts(lower: np.ndarray, z: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
-    """The payload in file order, as views: each row of L up to its diagonal, then Z, then W."""
-    return [lower[i, : i + 1] for i in range(lower.shape[0])] + [z.reshape(-1), w.reshape(-1)]
-
-
 def _payload(state: SchedulerState) -> list[np.ndarray]:
-    """The state's payload parts, copied only if L, Z or W is not C-ordered little-endian float64."""
-    return _parts(
-        *(np.ascontiguousarray(arr, dtype=_PAYLOAD_DTYPE) for arr in (state.L, state.Z, state.W))
-    )
+    """The payload in file order, as views: each row of L up to its diagonal, then Z, then W."""
+    lower, z, w = (np.ascontiguousarray(arr, _PAYLOAD_DTYPE) for arr in (state.L, state.Z, state.W))
+    return [lower[i, : i + 1] for i in range(lower.shape[0])] + [z.reshape(-1), w.reshape(-1)]
 
 
 # The state header's keys in file order; the digest comes last and covers the others.
 _HEADER_FIELDS = ("version", "d_e", "d_K", "gamma", "tasks_seen", "featurizer", "sha256")
 
 
-def _header(state: SchedulerState) -> dict:
+def _header(state: SchedulerState | Weights) -> dict:
     """Every header field of the state but its digest, in file order."""
-    return {
-        "version": STATE_VERSION,
-        "d_e": state.d_e,
-        "d_K": state.d_k,
-        "gamma": state.gamma,
-        "tasks_seen": state.tasks_seen,
-        "featurizer": None if state.featurizer is None else state.featurizer.to_dict(),
-    }
+    featurizer = None if state.featurizer is None else state.featurizer.to_dict()
+    return {"version": STATE_VERSION, "d_e": state.d_e, "d_K": state.d_k, "gamma": state.gamma,
+            "tasks_seen": state.tasks_seen, "featurizer": featurizer}
 
 
 def save_state(state: SchedulerState, destination: str | Path) -> None:
@@ -414,90 +418,98 @@ def save_state(state: SchedulerState, destination: str | Path) -> None:
     write_atomic(destination, line.encode("utf-8"), *_payload(state))
 
 
-def _unsupported_version(version) -> StateFormatError:
-    return StateFormatError(
-        f"unsupported state version {version!r} (expected {STATE_VERSION}); "
-        "regenerate the state with train-base/update"
-    )
+def _read(source: str | Path, keep_l: bool) -> tuple[Weights, np.ndarray, np.ndarray]:
+    """The checked weights, L (if ``keep_l``) and Z of a state file: both loads' one reader.
 
-
-def _read_header(handle) -> dict:
-    line = handle.readline(HEADER_LIMIT)
-    if not line.endswith(b"\n"):
-        raise StateFormatError(
-            f"state header is not a line of at most {HEADER_LIMIT} bytes"
-        )
-    try:
-        header = parse_json(line, "corrupt state header")
-        # The version decides the layout, so a header of another version is
-        # refused as such before its keys are held against this version's.
-        if isinstance(header, dict) and "version" in header:
-            version = header["version"]
+    L's triangle passes a block of whole rows at a time through one reused
+    buffer of at most 256 KiB, or d_e floats. Each block, then Z, then W is
+    checked (finite; for L, no zero on the diagonal) and hashed; with
+    ``keep_l`` each block's rows are then copied into a fresh L. Fresh
+    arrays keep Z and W aligned, as a view into the file's bytes would not.
+    """
+    with open(source, "rb") as handle:
+        line = handle.readline(HEADER_LIMIT)
+        if not line.endswith(b"\n"):
+            raise StateFormatError(f"state header is not a line of at most {HEADER_LIMIT} bytes")
+        try:
+            header = parse_json(line, "corrupt state header")
+            # The version decides the layout, so a header of another version is
+            # refused as such before its keys are held against this version's.
+            version = (header.get("version", STATE_VERSION) if isinstance(header, dict)
+                       else STATE_VERSION)
             if not (is_int(version) and version == STATE_VERSION):
-                raise _unsupported_version(version)
-        json_fields(header, "state header", _HEADER_FIELDS)
-        check_int(header["d_e"], "d_e", 1)
-        check_int(header["d_K"], "d_K")
-    except ValueError as exc:
-        raise StateFormatError(str(exc)) from exc
-    return header
+                raise ValueError(f"unsupported state version {version!r} (expected "
+                                 f"{STATE_VERSION}); regenerate the state with train-base/update")
+            json_fields(header, "state header", _HEADER_FIELDS)
+            d_e, d_k = check_int(header["d_e"], "d_e", 1), check_int(header["d_K"], "d_K")
+            expected = _PAYLOAD_DTYPE.itemsize * (d_e * (d_e + 1) // 2 + 2 * d_e * d_k)
+            size = os.fstat(handle.fileno()).st_size - handle.tell()
+            if size != expected:
+                raise ValueError(f"state payload is {size} bytes, expected {expected} "
+                                 f"for d_e={d_e}, d_K={d_k}")
+            featurizer = header["featurizer"]
+            featurizer = None if featurizer is None else FeaturizerConfig.from_dict(featurizer)
+            weights = Weights(np.empty((d_e, d_k), _PAYLOAD_DTYPE), header["gamma"],
+                              header["tasks_seen"], featurizer, header["sha256"])
+        except ValueError as exc:
+            raise StateFormatError(str(exc)) from exc
+        digest = hashlib.sha256(json.dumps(_header(weights), separators=(",", ":")).encode("utf-8"))
+        block = min(d_e, max(1, (1 << 15) // d_e))  # rows of L per read: 256 KiB, or one row
+        buffer = np.empty(block * d_e, _PAYLOAD_DTYPE)
+        lower = np.zeros((d_e, d_e) if keep_l else (0, 0), _PAYLOAD_DTYPE)
+        for start in range(0, d_e, block):
+            stop = min(start + block, d_e)
+            ends = np.arange(start + 1, stop + 1).cumsum()  # where each row ends in the block
+            part = _read_part(handle, digest, "L", buffer[: ends[-1]])
+            if not part[ends - 1].all():
+                raise StateFormatError("stored L is singular: a zero on its diagonal")
+            if keep_l:
+                lower[start:stop, :stop][np.arange(stop) <= np.arange(start, stop)[:, None]] = part
+        z = _read_part(handle, digest, "Z", np.empty((d_e, d_k), _PAYLOAD_DTYPE))
+        _read_part(handle, digest, "W", weights.W)
+    if digest.hexdigest() != weights.sha256:
+        raise StateFormatError("state header and payload do not match its sha256")
+    _freeze(lower, z, weights.W)
+    return weights, lower, z
+
+
+def _read_part(handle, digest, name: str, part: np.ndarray) -> np.ndarray:
+    """``part`` filled from the file, refused unless finite, then hashed."""
+    if handle.readinto(part) != part.nbytes:
+        raise StateFormatError("state payload is truncated")
+    if not np.isfinite(part).all():
+        raise StateFormatError(f"{name} contains non-finite values")
+    digest.update(part)
+    return part
 
 
 def load_state(source: str | Path) -> SchedulerState:
     """Load a state file, validating its header, payload and invariants.
 
-    The payload must be exactly as long as the header's shapes require, L
-    may have no zero on its diagonal, and every field passes the state's own
-    checks, whose ``ValueError`` becomes a :class:`StateFormatError`. The
-    state built from them must then have the header's ``sha256`` as its own
-    :attr:`~SchedulerState.sha256`, so a header spelled otherwise than the
-    state would write it back, such as ``"gamma": 1``, is refused; the
-    returned state keeps that digest, already computed. L, Z and W are read
-    into freshly allocated, aligned, read-only arrays, L's upper triangle
-    left zero, so a loaded state's W is the saved one's, bit for bit. Only
-    numpy is used.
+    Every refusal is a :class:`StateFormatError`: a header of another
+    version, a field that fails the state's own checks, a payload not
+    exactly as long as the header's shapes require, a non-finite value, a
+    zero on L's diagonal, or a ``sha256`` other than the state's own as
+    :func:`save_state` would write it back (so ``"gamma": 1`` is refused).
+    The state keeps that digest. L, Z and W are fresh, aligned, read-only
+    arrays, so W is the saved one, bit for bit. Only numpy is used;
+    :func:`load_weights` makes the same checks but keeps only W.
 
     The stored W is authoritative: it is not checked against L⁻ᵀZ. The
     digest rules out a W that disagrees with L and Z by accident, and the
     check would add about 4 ms to every load at d_e=1024.
     """
-    with open(source, "rb") as handle:
-        header = _read_header(handle)
-        d_e, d_k = header["d_e"], header["d_K"]
-        expected = _PAYLOAD_DTYPE.itemsize * (d_e * (d_e + 1) // 2 + 2 * d_e * d_k)
-        size = os.fstat(handle.fileno()).st_size - handle.tell()
-        if size != expected:
-            raise StateFormatError(
-                f"state payload is {size} bytes, expected {expected} "
-                f"for d_e={d_e}, d_K={d_k}"
-            )
-        # readinto fresh arrays keeps L, Z and W aligned; a view into the
-        # file's bytes at the header's length would not be, and slows every
-        # product with them.
-        lower = np.zeros((d_e, d_e), dtype=_PAYLOAD_DTYPE)
-        z = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
-        w = np.empty((d_e, d_k), dtype=_PAYLOAD_DTYPE)
-        for part in _parts(lower, z, w):
-            if handle.readinto(part) != part.nbytes:
-                raise StateFormatError("state payload is truncated")
-
-    # A NaN is nonzero, so a non-finite diagonal passes here; the state's own
-    # finiteness scan refuses it below.
-    if not lower.diagonal().all():
-        raise StateFormatError("stored L is singular: a zero on its diagonal")
-    _freeze(lower, z, w)
-    featurizer = header["featurizer"]
-    try:
-        state = SchedulerState(
-            L=lower,
-            Z=z,
-            W=w,
-            gamma=header["gamma"],
-            tasks_seen=header["tasks_seen"],
-            featurizer=None if featurizer is None else FeaturizerConfig.from_dict(featurizer),
-        )
-    except ValueError as exc:
-        raise StateFormatError(str(exc)) from exc
-    if state.sha256 != header["sha256"]:
-        raise StateFormatError("state header and payload do not match its sha256")
+    weights, lower, z = _read(source, keep_l=True)
+    state = SchedulerState(L=lower, Z=z, W=weights.W, gamma=weights.gamma,
+                           tasks_seen=weights.tasks_seen, featurizer=weights.featurizer)
+    state.__dict__["sha256"] = weights.sha256  # the cached property, already checked
     return state
+
+
+def load_weights(source: str | Path) -> Weights:
+    """What routing needs of a state file, after every check :func:`load_state` makes.
+
+    It never holds L: at d_e=1024 it allocates under 0.5 MiB where
+    :func:`load_state` allocates 9 MiB. W and ``sha256`` are load_state's.
+    """
+    return _read(source, keep_l=False)[0]

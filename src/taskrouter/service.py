@@ -30,7 +30,7 @@ from . import library
 from .checks import json_fields, parse_json
 from .features import ExpansionParams, featurize_batch
 from .library import ExecutorRegistry, Observation
-from .scheduler import SchedulerState, load_state, predict_proba
+from .scheduler import SchedulerState, Weights, load_weights, predict_proba
 
 __all__ = ["MAX_CONNECTIONS", "OUTPUT_LIMIT", "REQUEST_LINE_LIMIT", "RouteResult", "Router",
            "serve_stdio", "serve_tcp", "parse_endpoint"]
@@ -82,9 +82,11 @@ class RouteResult:
 class Router:
     """A read-only routing snapshot: state, expansion params, registry.
 
-    The expansion params are made from the state's featurizer config, whose
-    seed fixes them; the state's ``sha256``, which ``stats`` reports, covers
-    that config too. The registry is read only here, at construction: for
+    ``state`` is a :class:`SchedulerState`, or the :class:`Weights` that
+    :meth:`from_files` loads: a route reads only its W and featurizer. The
+    expansion params are made from the featurizer config, whose seed fixes
+    them; the state's ``sha256``, which ``stats`` reports, covers that
+    config too. The registry is read only here, at construction: for
     each executor of a class the state can route to (``task_id < d_K``), its
     action chunk (read-only) and its encoded response fragment are computed
     once, so a request only featurizes, predicts and picks the most probable
@@ -92,7 +94,7 @@ class Router:
     """
 
     def __init__(
-        self, state: SchedulerState, registry: ExecutorRegistry | None = None
+        self, state: SchedulerState | Weights, registry: ExecutorRegistry | None = None
     ) -> None:
         if state.featurizer is None:
             raise ValueError(
@@ -118,11 +120,11 @@ class Router:
     def from_files(
         cls, state_path: str | Path, registry_path: str | Path | None = None
     ) -> "Router":
-        state = load_state(state_path)
+        """A router on the weights of a state file, verified whole; L is never held."""
         registry = (
             library.load_manifest(registry_path) if registry_path is not None else None
         )
-        return cls(state, registry)
+        return cls(load_weights(state_path), registry)
 
     def route(self, text: str) -> RouteResult:
         """Featurize, pick the most probable task, and look up its executor's chunk."""

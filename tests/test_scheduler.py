@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,11 +23,13 @@ from taskrouter.scheduler import (
     NumericalError,
     SchedulerState,
     StateFormatError,
+    Weights,
     _mirror_lower,
     expand_label_space,
     fit_base,
     init,
     load_state,
+    load_weights,
     one_hot,
     predict,
     predict_proba,
@@ -548,22 +551,24 @@ def test_load_rejects_non_finite_payload(tmp_path, index, value):
 
 def test_load_reads_any_stored_lower_triangle(tmp_path):
     # Any finite triangle with a nonzero diagonal loads as L, whose upper half
-    # is zero; the R derived from it is its own mirror image.
-    d_e, d_k = 130, 2
-    path = tmp_path / "state.json"
-    save_state(expand_label_space(init(d_e, 0.7), d_k), path)
-    header, _ = _split_state(path)
-    rng = np.random.default_rng(12)
-    triangle = rng.standard_normal(d_e * (d_e + 1) // 2)
-    z = rng.standard_normal((d_e, d_k))
-    w = rng.standard_normal((d_e, d_k))
-    _write_state(path, header, b"".join(a.astype("<f8").tobytes() for a in (triangle, z, w)))
-    loaded = load_state(path)
-    assert np.array_equal(loaded.L[np.tril_indices(d_e)], triangle)
-    assert not np.triu(loaded.L, 1).any()
-    assert np.array_equal(loaded.Z, z)
-    assert np.array_equal(loaded.W, w)
-    assert np.array_equal(loaded.R, loaded.R.T)
+    # is zero; the R derived from it is its own mirror image. At d_e=300 the
+    # triangle is read in three blocks of rows, the last one short.
+    d_k = 2
+    for d_e in (130, 300):
+        path = tmp_path / f"state{d_e}.json"
+        save_state(expand_label_space(init(d_e, 0.7), d_k), path)
+        header, _ = _split_state(path)
+        rng = np.random.default_rng(12)
+        triangle = rng.standard_normal(d_e * (d_e + 1) // 2)
+        z = rng.standard_normal((d_e, d_k))
+        w = rng.standard_normal((d_e, d_k))
+        _write_state(path, header, b"".join(a.astype("<f8").tobytes() for a in (triangle, z, w)))
+        loaded = load_state(path)
+        assert np.array_equal(loaded.L[np.tril_indices(d_e)], triangle)
+        assert not np.triu(loaded.L, 1).any()
+        assert np.array_equal(loaded.Z, z)
+        assert np.array_equal(loaded.W, w) and np.array_equal(load_weights(path).W, w)
+        assert np.array_equal(loaded.R, loaded.R.T)
 
 
 def test_load_rejects_a_singular_l(tmp_path):
@@ -722,9 +727,61 @@ def test_loaded_arrays_are_contiguous_aligned_and_read_only(tmp_path):
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
     loaded = load_state(path)
-    for arr in (loaded.L, loaded.Z, loaded.W):
+    for arr in (loaded.L, loaded.Z, loaded.W, load_weights(path).W):
         assert arr.flags.c_contiguous and arr.flags.aligned
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("with_featurizer", [True, False])
+def test_load_weights_returns_what_load_state_does_but_no_l(tmp_path, with_featurizer):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(with_featurizer), path)
+    state, weights = load_state(path), load_weights(path)
+    assert isinstance(weights, Weights)
+    assert not hasattr(weights, "L") and not hasattr(weights, "Z")
+    assert np.array_equal(weights.W, state.W)
+    assert (weights.d_e, weights.d_k) == (state.d_e, state.d_k) == (12, 3)
+    assert (weights.sha256, weights.gamma, weights.tasks_seen, weights.featurizer) == (
+        state.sha256, state.gamma, state.tasks_seen, state.featurizer)
+    x = np.random.default_rng(2).standard_normal((5, 12))
+    assert np.array_equal(predict_proba(weights, x), predict_proba(state, x))
+
+
+def test_load_weights_never_holds_l(tmp_path):
+    # At d_e=1024, d_K=12 the factor is 8 MiB and W 96 KiB. load_state must
+    # allocate L (the control); load_weights streams it through a buffer of
+    # at most 256 KiB.
+    path = tmp_path / "big.state"
+    save_state(expand_label_space(init(1024, 1.0), 12), path)
+    peaks = {}
+    for load in (load_state, load_weights):
+        tracemalloc.start()
+        try:
+            load(path)
+            peaks[load.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["load_weights"] < 1 << 20
+    assert peaks["load_state"] >= 8 << 20
+
+
+def test_a_state_copies_the_writable_arrays_it_is_given(tmp_path):
+    # The caller keeps writing its own arrays after the state's digest is
+    # cached; the state, its digest and its saved file must not change.
+    lower, z, w = np.eye(2), np.zeros((2, 1)), np.ones((2, 1))
+    state = SchedulerState(L=lower, Z=z, W=w, gamma=1.0)
+    digest = state.sha256
+    for arr in (lower, z, w):
+        arr[1, 0] = 5.0
+    assert np.array_equal(state.L, np.eye(2)) and np.array_equal(state.W, np.ones((2, 1)))
+    assert not any(arr.flags.writeable for arr in (state.L, state.Z, state.W))
+    assert replace(state).sha256 == digest
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    loaded = load_state(path)
+    assert loaded.sha256 == digest and np.array_equal(loaded.W, np.ones((2, 1)))
+    # Arrays already read-only are kept as they are, not copied.
+    assert replace(state).W is state.W
 
 
 @pytest.mark.parametrize("key", ["d_e", "d_K", "gamma", "tasks_seen"])
@@ -776,6 +833,41 @@ def test_load_refuses_an_edited_header_field(tmp_path, field, value):
     error = "featurizer d_e disagrees" if field == "featurizer.d_e" else "do not match its sha256"
     with pytest.raises(StateFormatError, match=error):
         load_state(path)
+
+
+def _float_edit(index, value):
+    def edit(header, payload):
+        floats = np.frombuffer(payload, dtype="<f8").copy()
+        floats[index] = value
+        return header, floats.tobytes()
+    return edit
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_float_edit(1, np.nan), "L contains non-finite"),
+    (_float_edit(77, np.inf), "L contains non-finite"),  # L[11, 11], the last row
+    (_float_edit(12 * 13 // 2 + 4, np.nan), "Z contains non-finite"),
+    (_float_edit(12 * 13 // 2 + 12 * 3 + 4, -np.inf), "W contains non-finite"),
+    (_float_edit(2, 0.0), "singular"),
+    (_float_edit(65, 0.0), "singular"),  # L[10, 10]
+    (lambda header, payload: (header, payload[:-8]), "payload is .* bytes"),
+    (lambda header, payload: (dict(header, gamma=-1.0), payload), "gamma"),
+    (lambda header, payload: (dict(header, tasks_seen=1.5), payload), "tasks_seen"),
+    (lambda header, payload: (dict(header, featurizer=[4, 6, 12]), payload), "JSON object"),
+], ids=["nan-in-L", "inf-on-last-L-diagonal", "nan-in-Z", "inf-in-W", "zero-on-L-diagonal",
+        "zero-late-on-L-diagonal", "short", "gamma", "tasks_seen", "featurizer"])
+def test_load_weights_refuses_what_load_state_refuses_alike(tmp_path, edit, error):
+    # Each file is re-signed, so it is refused for its one defect, and both
+    # loads refuse it with the same message.
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    _write_state(path, *edit(*_split_state(path)))
+    messages = []
+    for load in (load_state, load_weights):
+        with pytest.raises(StateFormatError, match=error) as refused:
+            load(path)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.fixture(scope="module")
@@ -853,14 +945,24 @@ def _edited(data: bytes, edit) -> bytes:
 def test_load_refuses_or_returns_the_state_its_header_names(unit_gamma_file, edit):
     # Whatever is done to a state file, loading it gives a StateFormatError
     # or a state that is what its header signs; no other exception escapes.
+    # load_weights refuses the same files with the same message, and loads
+    # the others with the state's own W and fields.
     edited = _edited(unit_gamma_file.read_bytes(), edit)
     path = unit_gamma_file.with_name("edited.state")
     path.write_bytes(edited)
     try:
         state = load_state(path)
-    except StateFormatError:
+    except StateFormatError as exc:
+        with pytest.raises(StateFormatError) as refused:
+            load_weights(path)
+        assert str(refused.value) == str(exc)
         return
+    weights = load_weights(path)
+    assert (weights.sha256, weights.gamma, weights.tasks_seen, weights.featurizer) == (
+        state.sha256, state.gamma, state.tasks_seen, state.featurizer)
+    assert weights.W.tobytes() == state.W.tobytes()
     assert state.sha256 == json.loads(edited.partition(b"\n")[0])["sha256"]
+    assert replace(state).sha256 == state.sha256  # the kept digest is the state's own
     resaved = unit_gamma_file.with_name("resaved.state")
     save_state(state, resaved)
     again = load_state(resaved)

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import selectors
 import socket
 import subprocess
@@ -160,6 +161,26 @@ def test_first_stats_after_loading_hashes_nothing(served_files, tmp_path, monkey
     monkeypatch.setattr(scheduler.hashlib, "sha256", refuse)
     monkeypatch.setattr(scheduler, "_payload", refuse)
     assert router.stats()["state_sha256"] == header["sha256"]
+
+
+def test_served_router_holds_weights_and_answers_as_a_loaded_state_does(served_files):
+    # from_files keeps only W; a Router on the whole loaded state answers
+    # every sample text and stats with the same bytes, latency_micros apart.
+    served = Router.from_files(served_files["state"], served_files["registry"])
+    assert isinstance(served.state, scheduler.Weights) and not hasattr(served.state, "L")
+    registry = library.load_manifest(served_files["registry"])
+    full = Router(load_state(served_files["state"]), registry)
+    texts = [r.text for r in read_corpus(served_files["corpus"])] + ["", "héllo wörld"]
+    requests = [json.dumps({"op": "route", "text": text}) for text in texts]
+    requests.append(json.dumps({"op": "stats"}))
+
+    def answers(router):
+        return [re.sub(rb', "latency_micros": \d+}', b"}", router.handle_request_line(request))
+                for request in requests]
+
+    assert answers(served) == answers(full)
+    assert all(b'"task_id"' in line for line in answers(served)[:-1])
+    assert served.stats() == full.stats()
 
 
 def test_router_executes_only_the_classes_its_state_can_route_to(served_files, monkeypatch):
