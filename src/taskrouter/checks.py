@@ -38,9 +38,9 @@ def check_number(value, what: str) -> float:
 
 
 def parse_json(text: str | bytes, what: str):
-    """``text`` as JSON; bad or too deeply nested input is a ``ValueError`` led by ``what``."""
+    """``text`` as JSON, bytes as strict UTF-8; bad input is a ``ValueError`` led by ``what``."""
     try:
-        return json.loads(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as exc:  # deep nesting raises RecursionError
         raise ValueError(f"{what}: {exc}") from exc
 

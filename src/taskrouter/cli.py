@@ -189,7 +189,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 def _load_plan(path: str) -> PhasePlan:
     try:
-        doc = parse_json(Path(path).read_text(encoding="utf-8"), "invalid plan JSON")
+        doc = parse_json(Path(path).read_bytes(), "invalid plan JSON")
         return PhasePlan(**json_fields(doc, "plan", ("base_classes",), ("incremental_classes",)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -161,17 +161,12 @@ _SUFFIXES = ("", " for me", " right away", " carefully", " slowly", " gently")
 
 
 def _enumerate_templates(theme: ClassTheme) -> list[str]:
-    texts: list[str] = []
-    seen: set[str] = set()
+    """Every prefix, core and suffix combination in order; distinct for every theme here."""
     cores = [f"{v} {o}" for v, o in product(theme.verbs, theme.objects)]
     cores += [f"{v} {o} {p}" for v, o, p in
               product(theme.verbs, theme.objects, theme.placements)]
-    for prefix, core, suffix in product(_PREFIXES, cores, _SUFFIXES):
-        text = f"{prefix}{core}{suffix}"
-        if text not in seen:
-            seen.add(text)
-            texts.append(text)
-    return texts
+    return [f"{prefix}{core}{suffix}" for prefix, core, suffix in
+            product(_PREFIXES, cores, _SUFFIXES)]
 
 
 def generate_synthetic_corpus(n_classes: int, per_class: int, seed: int) -> list[InstructionRecord]:
@@ -228,17 +223,17 @@ def write_corpus(
 def read_corpus(source: str | Path) -> list[InstructionRecord]:
     """Read a JSONL corpus, validating every record and naming bad lines."""
     records: list[InstructionRecord] = []
-    with open(source, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+    # Lines end where text mode ends them, at \n, \r or \r\n; each is decoded alone.
+    for lineno, raw in enumerate(Path(source).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            try:
-                doc = parse_json(line, "invalid JSON")
-                doc = json_fields(doc, "corpus record", ("text", "task_id", "split"))
-                records.append(InstructionRecord(**doc))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
+            doc = parse_json(line, "invalid JSON")
+            doc = json_fields(doc, "corpus record", ("text", "task_id", "split"))
+            records.append(InstructionRecord(**doc))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     if not records:
         raise ValueError(f"{source}: corpus is empty")
     return records

@@ -76,19 +76,12 @@ class FeaturizerConfig:
 
 @dataclass(frozen=True)
 class ExpansionParams:
-    """Frozen random projection that widens pooled features before ReLU."""
+    """The d_f x d_e random projection that widens pooled features before ReLU.
+
+    :meth:`create` draws it from a seed and makes it read-only where it is drawn.
+    """
 
     projection: np.ndarray
-
-    def __post_init__(self) -> None:
-        projection = np.asarray(self.projection, dtype=np.float64)
-        if projection.ndim != 2:
-            raise ValueError("projection must be a d_f x d_e matrix")
-        if not np.isfinite(projection).all():
-            raise ValueError("projection must contain only finite values")
-        projection = projection.copy()
-        projection.setflags(write=False)
-        object.__setattr__(self, "projection", projection)
 
     @classmethod
     def create(cls, seed: int, d_f: int, d_e: int) -> "ExpansionParams":
@@ -102,6 +95,7 @@ class ExpansionParams:
         check_int(d_e, "d_e", 1)
         rng = np.random.default_rng([seed, d_f, d_e])
         projection = rng.standard_normal((d_f, d_e)) / math.sqrt(d_f)
+        projection.setflags(write=False)
         return cls(projection=projection)
 
     @classmethod

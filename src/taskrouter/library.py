@@ -2,8 +2,8 @@
 
 Each task id owns one executor. Real controllers would be fine-tuned models;
 here every executor is a seeded stub that traces a fixed smooth trajectory,
-so different tasks produce visibly different action chunks and the
-registry/lookup/execute boundary is stable for later adapters.
+so different tasks produce visibly different action chunks. No request
+carries an observation, so a chunk is a constant of its executor's spec.
 """
 
 from __future__ import annotations
@@ -72,17 +72,11 @@ class ExecutorSpec:
 
 @dataclass(frozen=True)
 class Observation:
-    """What an executor sees: proprioception, an opaque image digest, the text."""
+    """What an executor would see: proprioception, an image digest, the text; never read."""
 
     proprioception: np.ndarray
     image_digest: bytes = b""
     instruction: str = ""
-
-    def __post_init__(self) -> None:
-        prop = np.asarray(self.proprioception, dtype=np.float64).reshape(-1)
-        if not np.isfinite(prop).all():
-            raise ValueError("proprioception must be finite")
-        object.__setattr__(self, "proprioception", prop)
 
 
 @dataclass(frozen=True)
@@ -91,27 +85,16 @@ class ActionChunk:
 
     actions: np.ndarray
 
-    def __post_init__(self) -> None:
-        actions = np.asarray(self.actions, dtype=np.float64)
-        if actions.ndim != 2:
-            raise ValueError("actions must be a 2-D matrix")
-        if not np.isfinite(actions).all():
-            raise ValueError("actions must be finite")
-        object.__setattr__(self, "actions", actions)
-
 
 class ExecutorRegistry:
-    """Immutable-after-construction mapping from task id to executor spec."""
+    """Immutable mapping from task id to executor spec; the constructor refuses a duplicate id."""
 
     def __init__(self, specs: Iterable[ExecutorSpec] = ()) -> None:
         self._specs: dict[int, ExecutorSpec] = {}
         for spec in specs:
-            self.register(spec)
-
-    def register(self, spec: ExecutorSpec) -> None:
-        if spec.task_id in self._specs:
-            raise ValueError(f"task_id {spec.task_id} is already registered")
-        self._specs[spec.task_id] = spec
+            if spec.task_id in self._specs:
+                raise ValueError(f"task_id {spec.task_id} is already registered")
+            self._specs[spec.task_id] = spec
 
     def lookup(self, task_id: int) -> ExecutorSpec | None:
         """The spec for ``task_id``, or None as the missing-task signal."""
@@ -121,23 +104,19 @@ class ExecutorRegistry:
         return iter(self._specs.values())
 
 
-def execute(spec: ExecutorSpec, observation: Observation) -> ActionChunk:
+def execute(spec: ExecutorSpec, observation: Observation | None) -> ActionChunk:
     """Run the stub policy: a fixed smooth trajectory per (seed, task_id).
 
-    Repeated calls with the same inputs are identical; distinct task ids trace
-    distinct paths. The proprioceptive mean shifts the whole chunk slightly so
-    the observation is not ignored. The image digest is never interpreted.
-    No request carries an observation, so the service calls this once per
-    executor, with an empty one, when its ``Router`` is built.
+    The chunk depends on ``spec`` alone; ``observation`` is accepted and not
+    read, since no request carries one. Distinct task ids trace distinct
+    paths. The service calls this once per executor when its ``Router`` is built.
     """
-    prop = observation.proprioception
     rng = np.random.default_rng([spec.seed, spec.task_id])
     phases = rng.uniform(0.0, 2.0 * np.pi, spec.action_dim)
     freqs = rng.uniform(0.5, 2.5, spec.action_dim)
     t = np.arange(spec.horizon, dtype=np.float64)[:, None] / spec.horizon
-    offset = float(prop.mean()) if prop.size else 0.0
-    actions = spec.amplitude * np.sin(2.0 * np.pi * freqs[None, :] * t + phases[None, :])
-    actions += 0.1 * offset
+    # + 0.0 turns the -0.0 that amplitude 0 gives into 0.0, so it never serves "-0.0".
+    actions = spec.amplitude * np.sin(2.0 * np.pi * freqs[None, :] * t + phases[None, :]) + 0.0
     return ActionChunk(actions=actions)
 
 
@@ -147,7 +126,7 @@ def save_manifest(registry: ExecutorRegistry, destination: str | Path) -> None:
 
 
 def load_manifest(source: str | Path) -> ExecutorRegistry:
-    doc = parse_json(Path(source).read_text(encoding="utf-8"), "corrupt registry manifest")
+    doc = parse_json(Path(source).read_bytes(), "corrupt registry manifest")
     if not isinstance(doc, list):
         raise ValueError("registry manifest must be a JSON array")
     return ExecutorRegistry(ExecutorSpec.from_dict(entry) for entry in doc)

@@ -29,7 +29,7 @@ import numpy as np
 from . import library
 from .checks import json_fields, parse_json
 from .features import ExpansionParams, featurize_batch
-from .library import ExecutorRegistry, Observation
+from .library import ExecutorRegistry
 from .scheduler import SchedulerState, Weights, load_weights, predict_proba
 
 __all__ = ["MAX_CONNECTIONS", "OUTPUT_LIMIT", "REQUEST_LINE_LIMIT", "RouteResult", "Router",
@@ -110,7 +110,7 @@ class Router:
         for spec in self.registry:
             if spec.task_id >= state.d_k:
                 continue
-            chunk = library.execute(spec, Observation(np.zeros(0))).actions
+            chunk = library.execute(spec, None).actions
             chunk.flags.writeable = False
             fragment = (f', "executor_name": {json.dumps(spec.name)}, '
                         f'"action_chunk": {json.dumps(chunk.tolist())}')

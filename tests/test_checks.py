@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from taskrouter.checks import check_int, check_number, json_fields
+from taskrouter.checks import check_int, check_number, json_fields, parse_json
 from taskrouter.cli import _load_plan
 from taskrouter.corpus import read_corpus
 from taskrouter.features import FeaturizerConfig
@@ -111,3 +111,33 @@ def test_every_file_reader_refuses_deep_nesting(tmp_path, read, error, message):
     path.write_bytes(b"[" * 60_000 + b"\n")
     with pytest.raises(error, match=message):
         read(path)
+
+
+# -- every file reader names undecodable bytes --------------------------------------
+
+
+def _record(text: bytes) -> bytes:
+    return b'{"text": "' + text + b'", "task_id": 0, "split": "train"}\n'
+
+
+@pytest.mark.parametrize("read, content, message", [
+    (read_corpus, _record(b"a") + _record(b"b") + _record(b"c\xff"),
+     "line 3: 'utf-8' codec can't decode"),
+    (load_manifest, b'[{"task_id": 0, "name": "\xff", "action_dim": 1, "horizon": 1}]',
+     "corrupt registry manifest: 'utf-8' codec can't decode"),
+    (lambda path: _load_plan(str(path)), b'{"base_classes": [0], "\xff": 1}',
+     "invalid plan JSON: 'utf-8' codec can't decode"),
+], ids=["corpus-line", "manifest", "plan-file"])
+def test_every_file_reader_refuses_invalid_utf8_with_its_prefix(tmp_path, read, content, message):
+    path = tmp_path / "doc"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=message):
+        read(path)
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32", "utf-8-sig"])
+def test_parse_json_reads_bytes_as_utf8_alone(encoding):
+    # json.loads would detect these encodings in bytes; no reader accepts them.
+    assert parse_json('{"a": "\u00e9"}'.encode(), "doc") == {"a": "\u00e9"}
+    with pytest.raises(ValueError, match="^doc: "):
+        parse_json('{"a": 1}'.encode(encoding), "doc")

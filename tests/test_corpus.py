@@ -111,6 +111,17 @@ def test_read_names_bad_lines(tmp_path):
         read_corpus(path)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_ends_lines_where_text_mode_does(tmp_path, newline):
+    path = tmp_path / "corpus.jsonl"
+    good = json.dumps({"text": "grab the cube", "task_id": 0, "split": "train"})
+    path.write_bytes(newline.join([good, "", good, ""]).encode())
+    assert len(read_corpus(path)) == 2
+    path.write_bytes(newline.join([good, "", "{broken"]).encode())
+    with pytest.raises(ValueError, match="line 3: invalid JSON"):
+        read_corpus(path)
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         InstructionRecord(text="x", task_id=-1)

@@ -12,7 +12,7 @@ from taskrouter import evaluation
 from taskrouter.corpus import generate_synthetic_corpus
 from taskrouter.evaluation import EvalReport, PhasePlan, baseline_sequential, run_protocol
 from taskrouter.features import ExpansionParams, FeaturizerConfig, featurize_batch
-from taskrouter.scheduler import fit_base, one_hot
+from taskrouter.scheduler import fit_base, one_hot, predict
 
 SMALL_CFG = FeaturizerConfig(seed=0, d_f=32, d_e=256)
 
@@ -34,7 +34,7 @@ def _report_with_metrics(monkeypatch, accuracies, task1):
     """A protocol report whose phases measured exactly ``accuracies`` and ``task1``."""
     scripted = iter(zip(accuracies, task1))
 
-    def phase_metrics(predictor, features, labels, test_idx, seen, task1_rows, d_k):
+    def phase_metrics(predictor, features, labels, test_idx, seen, base_classes, d_k):
         acc, t1 = next(scripted)
         return acc, t1, np.zeros((d_k, d_k), dtype=np.int64)
 
@@ -177,7 +177,7 @@ def test_baseline_report_mirrors_protocol_shape(small_corpus, small_plan):
     assert len(report.per_phase_forgetting) == 3
 
 
-@pytest.mark.parametrize(
+_IN_ORDER_AND_SHUFFLED = pytest.mark.parametrize(
     "plan",
     [
         PhasePlan(base_classes=(0, 1), incremental_classes=(2, 3)),
@@ -185,6 +185,9 @@ def test_baseline_report_mirrors_protocol_shape(small_corpus, small_plan):
     ],
     ids=["in-order", "shuffled"],
 )
+
+
+@_IN_ORDER_AND_SHUFFLED
 def test_both_methods_score_the_same_rows(small_corpus, plan):
     router = run_protocol(small_corpus, plan, SMALL_CFG)
     baseline = baseline_sequential(small_corpus, plan, SMALL_CFG, steps=5)
@@ -195,6 +198,26 @@ def test_both_methods_score_the_same_rows(small_corpus, plan):
         assert ours.shape == theirs.shape
         assert np.array_equal(ours.sum(axis=1), theirs.sum(axis=1))
     assert router.training_reads["rows"] == baseline.training_reads["rows"]
+
+
+@_IN_ORDER_AND_SHUFFLED
+def test_task1_accuracy_matches_predicting_the_base_rows_alone(small_corpus, plan):
+    # The reference: after phase k, the model a run on the plan's first k + 1
+    # phases ends with, predicting the base classes' test rows and nothing else.
+    base_test = [r for r in small_corpus if r.split == "test" and r.task_id in plan.base_classes]
+    x = featurize_batch([r.text for r in base_test], SMALL_CFG,
+                        ExpansionParams.for_config(SMALL_CFG))
+    truth = np.array([r.task_id for r in base_test])
+    router = run_protocol(small_corpus, plan, SMALL_CFG)
+    baseline = baseline_sequential(small_corpus, plan, SMALL_CFG, steps=5)
+    for k in range(len(plan.incremental_classes) + 1):
+        prefix = PhasePlan(plan.base_classes, plan.incremental_classes[:k])
+        corpus = [r for r in small_corpus if r.task_id in prefix.all_classes]
+        state = run_protocol(corpus, prefix, SMALL_CFG).final_state
+        weights = baseline_sequential(corpus, prefix, SMALL_CFG, steps=5).final_weights
+        assert router.task1_accuracy[k] == 100.0 * float(np.mean(predict(state, x) == truth))
+        assert baseline.task1_accuracy[k] == 100.0 * float(
+            np.mean(np.argmax(x @ weights, axis=1) == truth))
 
 
 def test_baseline_forgets_more_than_router(small_corpus, small_plan):

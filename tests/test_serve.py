@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from taskrouter import library, scheduler, service
@@ -477,6 +478,21 @@ def test_route_response_bytes_are_the_encoded_route_result(served_files):
                 with pytest.raises(ValueError, match="read-only"):
                     result.action_chunk[0, 0] = 0.0
         assert names == expected_names
+
+
+def test_zero_amplitude_executor_serves_positive_zeros(served_files):
+    # amplitude * sin(x) is -0.0 wherever sin(x) < 0; a chunk of an amplitude-0
+    # executor, and the route line built from it, hold 0.0 alone.
+    spec = ExecutorSpec(task_id=0, name="still", action_dim=3, horizon=8, amplitude=0.0)
+    router = Router(load_state(served_files["state"]), ExecutorRegistry([spec]))
+    text = "please pick up the ripe banana"
+    chunk = router.route(text).action_chunk
+    assert chunk.shape == (8, 3) and not (chunk != 0.0).any() and not np.signbit(chunk).any()
+    line = router.handle_request_line(json.dumps({"op": "route", "text": text}))
+    response = json.loads(line)
+    assert response["executor_name"] == "still"
+    assert response["action_chunk"] == [[0.0] * 3] * 8
+    assert b"-0.0" not in line
 
 
 @pytest.mark.parametrize("request_doc, key", [
