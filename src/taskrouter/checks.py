@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Iterable
 
-__all__ = ["is_int", "check_int", "check_number", "parse_json", "json_fields"]
+__all__ = ["is_int", "check_int", "check_number", "digits", "parse_json", "json_fields"]
 
 
 def is_int(value) -> bool:
@@ -35,6 +35,16 @@ def check_number(value, what: str) -> float:
         if abs(value) <= sys.float_info.max:
             return float(value)
     raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def digits(text: str, what: str = "value") -> int:
+    """``text`` as an int if it is ASCII digits alone, the one spelling a flag or port takes.
+
+    ``int()`` would also take a sign, underscores, spaces and non-ASCII digits.
+    """
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"{what} must be ASCII digits, got {text!r}")
 
 
 def parse_json(text: str | bytes, what: str):

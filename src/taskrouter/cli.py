@@ -18,7 +18,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import scheduler
 from .atomic import write_atomic
-from .checks import json_fields, parse_json
+from .checks import digits, json_fields, parse_json
 from .evaluation import PhasePlan, baseline_sequential, run_protocol
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
 from .service import Router, parse_endpoint, serve_stdio, serve_tcp
@@ -34,9 +34,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_featurizer_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, default=1.0, help="ridge regulariser")
-    sub.add_argument("--d-e", type=int, default=1024, help="expanded feature dimension")
-    sub.add_argument("--d-f", type=int, default=64, help="raw embedding dimension")
-    sub.add_argument("--seed", type=int, default=0, help="featurizer and expansion seed")
+    sub.add_argument("--d-e", type=digits, default=1024, help="expanded feature dimension")
+    sub.add_argument("--d-f", type=digits, default=64, help="raw embedding dimension")
+    sub.add_argument("--seed", type=digits, default=0, help="featurizer and expansion seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-corpus", help="generate a synthetic instruction corpus")
     gen.add_argument("--corpus", required=True, help="output JSONL path")
-    gen.add_argument("--n-classes", type=int, default=10)
-    gen.add_argument("--per-class", type=int, default=102)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--n-classes", type=digits, default=10)
+    gen.add_argument("--per-class", type=digits, default=102)
+    gen.add_argument("--seed", type=digits, default=0)
     gen.add_argument("--force", action="store_true", help="overwrite an existing file")
     gen.set_defaults(func=cmd_gen_corpus)
 
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     upd = sub.add_parser("update", help="absorb one new class without replay")
     upd.add_argument("--state", required=True, help="input state file (left untouched)")
     upd.add_argument("--corpus", required=True)
-    upd.add_argument("--new-class", type=int, required=True)
+    upd.add_argument("--new-class", required=True)
     upd.add_argument("--state-out", required=True)
     upd.set_defaults(func=cmd_update)
 
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--report-out", required=True, help="report JSON path")
     ev.add_argument("--baseline", action="store_true",
                     help="also run the sequential gradient baseline")
-    ev.add_argument("--steps", type=int, default=200, help="baseline GD steps per phase")
+    ev.add_argument("--steps", type=digits, default=200, help="baseline GD steps per phase")
     ev.add_argument("--learning-rate", type=float, default=0.1)
     _add_featurizer_flags(ev)
     ev.set_defaults(func=cmd_eval)
@@ -98,10 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_classes(text: str) -> list[int]:
-    try:
-        classes = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"bad --classes value {text!r}: {exc}") from exc
+    classes = [digits(part, "--classes ids") for part in text.split(",") if part.strip() != ""]
     if not classes:
         raise ValueError("--classes must name at least one task id")
     if len(set(classes)) != len(classes):
@@ -164,8 +161,7 @@ def cmd_train_base(args: argparse.Namespace) -> int:
 
 
 def cmd_update(args: argparse.Namespace) -> int:
-    if args.new_class < 0:
-        raise ValueError(f"--new-class must be a non-negative task id, got {args.new_class}")
+    new_class = digits(args.new_class, "--new-class")
     state_in = Path(args.state).resolve()
     state_out = Path(args.state_out).resolve()
     if state_in == state_out:
@@ -174,7 +170,6 @@ def cmd_update(args: argparse.Namespace) -> int:
     if state.featurizer is None:
         raise ValueError("state has no featurizer config; cannot featurize a text corpus")
     records = corpus_mod.read_corpus(args.corpus)
-    new_class = args.new_class
     if new_class < state.d_k and np.any(state.Z[:, new_class] != 0.0):
         raise ValueError(f"class {new_class} is already trained in this state")
     return _learn(args, state, records, [new_class], state_out)

@@ -23,7 +23,8 @@ Numerical conventions, all load-bearing for the equivalence guarantees:
   its square as it would through R; L's diagonal may carry either sign;
 * the derived R is formed by LAPACK ``potri`` into one triangle, mirrored
   onto the other by :func:`_mirror_lower`, so it is exactly symmetric by
-  construction, whatever kernel BLAS picks.
+  construction, whatever kernel BLAS picks;
+* L, Z and W are checked once, by the step that makes them, not by the state.
 """
 
 from __future__ import annotations
@@ -100,7 +101,10 @@ class SchedulerState(_Routable):
     for states driven with raw feature matrices. :attr:`sha256`
     fingerprints all of it. L, Z and W are read-only; one passed in
     writable is copied first, so its owner cannot change the state under
-    its cached digest.
+    its cached digest. ``init``, ``expand_label_space``, ``fit_base``,
+    ``update`` and ``load_state`` each check the state they make; one built
+    by hand is taken as given, as :class:`Weights` and ``ExpansionParams``
+    are, and a file of one with a non-finite value is refused at load.
     """
 
     L: np.ndarray
@@ -118,8 +122,6 @@ class SchedulerState(_Routable):
         super().__post_init__()
         for name in ("L", "Z", "W"):
             arr = getattr(self, name)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
             if arr.flags.writeable:  # the caller's array, which it could still write
                 object.__setattr__(self, name, np.array(arr))
                 _freeze(getattr(self, name))
@@ -213,15 +215,12 @@ def _absorb(state: SchedulerState, feats: np.ndarray, lab: np.ndarray) -> Schedu
     # C order, as load_state reads it, so a loaded state's derived Q is
     # formed from the same layouts and matches bit for bit.
     z = np.ascontiguousarray(z)
-    diagonal = u.diagonal()
-    if not (np.isfinite(diagonal).all() and diagonal.all() and np.isfinite(z).all()):
+    if not (np.isfinite(u).all() and u.diagonal().all() and np.isfinite(z).all()):
         raise NumericalError(_PATHOLOGICAL)
     lower = u.T
     w = np.ascontiguousarray(
         solve_triangular(lower, z, lower=True, trans="T", check_finite=False)
     )
-    # A finite diagonal can sit beside an overflowed entry below it, which
-    # the solve carries into W.
     if not np.isfinite(w).all():
         raise NumericalError(_PATHOLOGICAL)
     _freeze(lower, z, w)

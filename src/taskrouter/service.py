@@ -27,7 +27,7 @@ from typing import IO
 import numpy as np
 
 from . import library
-from .checks import json_fields, parse_json
+from .checks import digits, json_fields, parse_json
 from .features import ExpansionParams, featurize_batch
 from .library import ExecutorRegistry
 from .scheduler import SchedulerState, Weights, load_weights, predict_proba
@@ -254,11 +254,7 @@ def parse_endpoint(endpoint: str) -> tuple[str, str, int]:
         host, sep, port_text = rest.rpartition(":")
         if not sep or not host:
             raise ValueError(f"bad tcp endpoint {endpoint!r}; expected tcp:HOST:PORT")
-        # ASCII digits only: int() would also take underscores, spaces, a sign
-        # and non-ASCII digits.
-        if not (port_text.isascii() and port_text.isdigit()):
-            raise ValueError(f"bad port in endpoint {endpoint!r}")
-        port = int(port_text)
+        port = digits(port_text, f"the port of endpoint {endpoint!r}")
         if port > 65535:
             raise ValueError(f"port out of range in endpoint {endpoint!r}")
         return ("tcp", host, port)

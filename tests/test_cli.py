@@ -229,6 +229,41 @@ def test_update_refuses_a_negative_class_before_reading_the_state(workdir, capsy
     assert "--new-class" in json.loads(err.strip())["error"]
 
 
+@pytest.mark.parametrize("command, flag, value, code", [
+    ("train-base", "--classes", "0,1_0", 1),
+    ("train-base", "--classes", "0,+1", 1),
+    ("train-base", "--classes", "0,١", 1),
+    ("train-base", "--classes", "0, 1", 1),
+    ("update", "--new-class", "+3", 1),
+    ("gen-corpus", "--n-classes", "1_2", 2),
+    ("gen-corpus", "--per-class", "١٢", 2),
+    ("gen-corpus", "--seed", " 3", 2),
+    ("train-base", "--d-e", "+256", 2),
+    ("eval", "--d-f", "3_2", 2),
+    ("eval", "--steps", "٤٠", 2),
+], ids=["classes-underscore", "classes-sign", "classes-arabic-indic", "classes-space",
+        "new-class-sign", "n-classes-underscore", "per-class-arabic-indic", "seed-space",
+        "d-e-sign", "d-f-underscore", "steps-arabic-indic"])
+def test_integer_flags_take_ascii_digits_alone(workdir, capsys, tmp_path, command, flag, value,
+                                              code):
+    # int() would take every one of these; a flag given twice keeps its last value.
+    corpus, out = str(workdir / "corpus.jsonl"), str(tmp_path / "out")
+    argv = {
+        "gen-corpus": ["gen-corpus", "--corpus", out],
+        "train-base": ["train-base", "--corpus", corpus, "--classes", "0", "--state-out", out],
+        "update": ["update", "--state", str(tmp_path / "missing.json"), "--corpus", corpus,
+                   "--new-class", "2", "--state-out", out],
+        "eval": ["eval", "--corpus", corpus, "--report-out", out],
+    }[command] + [flag, value]
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:  # argparse refuses a value it could not convert
+        exit_code = exc.code
+    assert exit_code == code
+    assert flag in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_update_rejects_same_input_and_output_path(workdir, capsys):
     base = str(workdir / "base.json")
     code, _, err = _run(capsys, ["update", "--state", base,

@@ -177,6 +177,22 @@ def test_update_flags_pathological_inner_system():
         broken.R
 
 
+@pytest.mark.parametrize("row", [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+def test_update_refuses_a_hand_built_l_with_inf_below_its_diagonal(row):
+    # The state takes a hand-built L as given. A row that is zero in column 0
+    # leaves the new diagonal finite and a NaN below it, so update must check
+    # the whole new factor, not its diagonal; a row that is not makes the
+    # diagonal non-finite too.
+    lower = np.eye(3)
+    lower[2, 0] = np.inf
+    state = SchedulerState(L=lower, Z=np.zeros((3, 1)), W=np.zeros((3, 1)), gamma=1.0)
+    digest = state.sha256
+    with pytest.raises(NumericalError, match="pathological"):
+        update(state, np.array([row]), np.ones((1, 1)))
+    assert np.array_equal(state.L, lower) and not state.Z.any() and not state.W.any()
+    assert replace(state).sha256 == digest
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e155, 1e160])
 @pytest.mark.parametrize("step", ["fit_base", "update"])
@@ -537,8 +553,8 @@ def _write_state(path, header, payload, *, rehash=True):
 )
 def test_load_rejects_non_finite_payload(tmp_path, index, value):
     # Payload index 1 is L[1, 0], 0 is L[0, 0], 78 is where Z starts and 114
-    # where W starts at d_e=12, d_K=3; the state's own finiteness scan
-    # refuses all four.
+    # where W starts at d_e=12, d_K=3; the file reader's finiteness checks
+    # refuse all four.
     path = tmp_path / "state.json"
     save_state(_trained_state(), path)
     header, payload = _split_state(path)
@@ -547,6 +563,22 @@ def test_load_rejects_non_finite_payload(tmp_path, index, value):
     _write_state(path, header, floats.tobytes())
     with pytest.raises(StateFormatError, match="non-finite"):
         load_state(path)
+
+
+@pytest.mark.parametrize("name, index", [("L", (1, 0)), ("Z", (0, 0)), ("W", (2, 0))])
+def test_a_hand_built_non_finite_state_saves_but_never_loads(tmp_path, name, index):
+    # The state takes its arrays as given, so save_state writes this one; the
+    # file reader checks what it reads, so both loads refuse the file alike.
+    arrays = {"L": np.eye(3), "Z": np.zeros((3, 1)), "W": np.zeros((3, 1))}
+    arrays[name][index] = np.nan
+    path = tmp_path / "state.json"
+    save_state(SchedulerState(**arrays, gamma=1.0), path)
+    messages = []
+    for load in (load_state, load_weights):
+        with pytest.raises(StateFormatError) as refused:
+            load(path)
+        messages.append(str(refused.value))
+    assert messages == [f"{name} contains non-finite values"] * 2
 
 
 def test_load_reads_any_stored_lower_triangle(tmp_path):
@@ -763,6 +795,27 @@ def test_load_weights_never_holds_l(tmp_path):
             tracemalloc.stop()
     assert peaks["load_weights"] < 1 << 20
     assert peaks["load_state"] >= 8 << 20
+
+
+@pytest.mark.parametrize("make, bound_mib", [
+    (lambda state, path: expand_label_space(state, 13), 0.5),
+    (lambda state, path: load_state(path), 8.75),
+    (lambda state, path: init(1024, 1.0), 8.5),
+], ids=["expand_label_space", "load_state", "init"])
+def test_a_state_maker_never_rescans_l(tmp_path, make, bound_mib):
+    # At d_e=1024, d_K=12 L is 8 MiB, and a finiteness scan of it allocates
+    # 1 MiB more. expand_label_space keeps L as it is, load_state checked it
+    # as it read it, and init made it finite; none of them scans it.
+    state = expand_label_space(init(1024, 1.0), 12)
+    path = tmp_path / "big.state"
+    save_state(state, path)
+    tracemalloc.start()
+    try:
+        make(state, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * (1 << 20)
 
 
 def test_a_state_copies_the_writable_arrays_it_is_given(tmp_path):
