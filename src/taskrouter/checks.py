@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Iterable
 
-__all__ = ["is_int", "check_int", "check_number", "digits", "parse_json", "json_fields"]
+__all__ = ["is_int", "check_int", "check_number", "digits", "decimal", "parse_json", "json_fields"]
 
 
 def is_int(value) -> bool:
@@ -45,6 +45,13 @@ def digits(text: str, what: str = "value") -> int:
     if text.isascii() and text.isdigit():
         return int(text)
     raise ValueError(f"{what} must be ASCII digits, got {text!r}")
+
+
+def decimal(text: str, what: str = "value") -> float:
+    """``text`` as a float if it is ASCII with no underscore or surrounding space."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        return float(text)  # a sign, nan and inf pass, for the value's own range check
+    raise ValueError(f"{what} must be an ASCII number, got {text!r}")
 
 
 def parse_json(text: str | bytes, what: str):

@@ -18,7 +18,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import scheduler
 from .atomic import write_atomic
-from .checks import digits, json_fields, parse_json
+from .checks import decimal, digits, json_fields, parse_json
 from .evaluation import PhasePlan, baseline_sequential, run_protocol
 from .features import ExpansionParams, FeaturizerConfig, featurize_batch
 from .service import Router, parse_endpoint, serve_stdio, serve_tcp
@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_featurizer_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gamma", type=float, default=1.0, help="ridge regulariser")
+    sub.add_argument("--gamma", type=decimal, default=1.0, help="ridge regulariser")
     sub.add_argument("--d-e", type=digits, default=1024, help="expanded feature dimension")
     sub.add_argument("--d-f", type=digits, default=64, help="raw embedding dimension")
     sub.add_argument("--seed", type=digits, default=0, help="featurizer and expansion seed")
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--baseline", action="store_true",
                     help="also run the sequential gradient baseline")
     ev.add_argument("--steps", type=digits, default=200, help="baseline GD steps per phase")
-    ev.add_argument("--learning-rate", type=float, default=0.1)
+    ev.add_argument("--learning-rate", type=decimal, default=0.1)
     _add_featurizer_flags(ev)
     ev.set_defaults(func=cmd_eval)
 
@@ -98,9 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_classes(text: str) -> list[int]:
-    classes = [digits(part, "--classes ids") for part in text.split(",") if part.strip() != ""]
-    if not classes:
-        raise ValueError("--classes must name at least one task id")
+    classes = [digits(part, "--classes ids") for part in text.split(",")]
     if len(set(classes)) != len(classes):
         raise ValueError("--classes contains duplicates")
     return classes

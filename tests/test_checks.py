@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from taskrouter.checks import check_int, check_number, json_fields, parse_json
+from taskrouter.checks import check_int, check_number, decimal, json_fields, parse_json
 from taskrouter.cli import _load_plan
 from taskrouter.corpus import read_corpus
 from taskrouter.features import FeaturizerConfig
@@ -37,6 +37,19 @@ def test_check_number_refuses(value):
 
 def test_check_number_returns_a_float():
     assert type(check_number(3, "x")) is float and check_number(3, "x") == 3.0
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1.0", 1.0), ("-2", -2.0), ("1e3", 1000.0), (".5", 0.5), ("inf", float("inf")),
+])
+def test_decimal_takes_ascii_float_spellings(text, value):
+    assert decimal(text, "--x") == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0660.5", " 1.0", "1.0\n", "", "1,5", "abc"])
+def test_decimal_refuses_what_float_takes_beyond_ascii(text):
+    with pytest.raises(ValueError):
+        decimal(text, "--x")
 
 
 def test_json_fields():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from taskrouter.cli import main
-from taskrouter.corpus import read_corpus
+from taskrouter.corpus import read_corpus, write_corpus
 from taskrouter.features import ExpansionParams, FeaturizerConfig, featurize_batch
 from taskrouter.library import ExecutorRegistry, ExecutorSpec, save_manifest
 from taskrouter.scheduler import (
@@ -241,12 +241,22 @@ def test_update_refuses_a_negative_class_before_reading_the_state(workdir, capsy
     ("train-base", "--d-e", "+256", 2),
     ("eval", "--d-f", "3_2", 2),
     ("eval", "--steps", "٤٠", 2),
+    ("train-base", "--classes", "0,,1", 1),
+    ("train-base", "--classes", "0,1, ", 1),
+    ("train-base", "--classes", ",0", 1),
+    ("train-base", "--classes", "0,0", 1),
+    ("train-base", "--gamma", "1_0", 2),
+    ("eval", "--learning-rate", "٠.5", 2),
+    ("eval", "--gamma", " 1.0", 2),
 ], ids=["classes-underscore", "classes-sign", "classes-arabic-indic", "classes-space",
         "new-class-sign", "n-classes-underscore", "per-class-arabic-indic", "seed-space",
-        "d-e-sign", "d-f-underscore", "steps-arabic-indic"])
+        "d-e-sign", "d-f-underscore", "steps-arabic-indic", "classes-blank-inside",
+        "classes-blank-last", "classes-blank-first", "classes-duplicate", "gamma-underscore",
+        "learning-rate-arabic-indic", "gamma-space"])
 def test_integer_flags_take_ascii_digits_alone(workdir, capsys, tmp_path, command, flag, value,
                                               code):
-    # int() would take every one of these; a flag given twice keeps its last value.
+    # int() or float() would take each spelling, and a blank or repeated id names
+    # no list of tasks; a flag given twice keeps its last value.
     corpus, out = str(workdir / "corpus.jsonl"), str(tmp_path / "out")
     argv = {
         "gen-corpus": ["gen-corpus", "--corpus", out],
@@ -261,6 +271,17 @@ def test_integer_flags_take_ascii_digits_alone(workdir, capsys, tmp_path, comman
         exit_code = exc.code
     assert exit_code == code
     assert flag in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_update_refuses_a_state_without_a_featurizer(workdir, capsys, tmp_path):
+    bare = tmp_path / "bare.json"
+    save_state(fit_base(np.eye(D_E), one_hot([0, 1] * (D_E // 2), 2), 1.0), bare)
+    code, _, err = _run(capsys, ["update", "--state", str(bare),
+                                 "--corpus", str(workdir / "corpus.jsonl"),
+                                 "--new-class", "2", "--state-out", str(tmp_path / "out")])
+    assert code == 1
+    assert "state has no featurizer config" in json.loads(err.strip())["error"]
     assert not (tmp_path / "out").exists()
 
 
@@ -380,6 +401,28 @@ def test_eval_baseline_checks_its_flags_before_the_router_protocol(
                                  "--d-f", str(D_F), "--seed", str(SEED)])
     assert code == 1
     assert "learning_rate" in json.loads(err.strip())["error"]
+
+
+def test_eval_refuses_a_one_class_corpus(workdir, capsys, tmp_path):
+    corpus = tmp_path / "one.jsonl"
+    write_corpus([r for r in read_corpus(workdir / "corpus.jsonl") if r.task_id == 0], corpus)
+    code, _, err = _run(capsys, ["eval", "--corpus", str(corpus),
+                                 "--report-out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "need at least 2 classes" in json.loads(err.strip())["error"]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_table_of_a_txt_report_goes_beside_it(workdir, capsys, tmp_path):
+    # The table is the report path with a .txt suffix; a report that already
+    # ends in .txt keeps its name and the table gets a second .txt.
+    report_out = tmp_path / "r.txt"
+    code, out, _ = _run(capsys, ["eval", "--corpus", str(workdir / "corpus.jsonl"),
+                                 "--report-out", str(report_out), "--d-e", str(D_E),
+                                 "--d-f", str(D_F), "--seed", str(SEED)])
+    assert code == 0
+    assert len(json.loads(report_out.read_text())["phases"]) == 3
+    assert (tmp_path / "r.txt.txt").read_text() == out
 
 
 def test_eval_rejects_invalid_plan_json(workdir, capsys, tmp_path):

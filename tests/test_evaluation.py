@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,16 @@ def test_protocol_rejects_plans_that_miss_classes(small_corpus):
         run_protocol(small_corpus, plan, SMALL_CFG)
 
 
+@pytest.mark.parametrize("keep, match", [
+    (lambda r: False, r"planned but absent: \[0, 1, 2, 3\]"),
+    (lambda r: not (r.task_id == 3 and r.split == "test"), "class 3 needs both train and test"),
+], ids=["empty-corpus", "class-without-test-rows"])
+def test_protocol_refuses_a_corpus_it_cannot_split_by_the_plan(small_corpus, small_plan, keep,
+                                                               match):
+    with pytest.raises(ValueError, match=match):
+        run_protocol([r for r in small_corpus if keep(r)], small_plan, SMALL_CFG)
+
+
 # -- protocol structure ------------------------------------------------------------
 
 
@@ -185,6 +196,31 @@ _IN_ORDER_AND_SHUFFLED = pytest.mark.parametrize(
     ],
     ids=["in-order", "shuffled"],
 )
+
+
+@_IN_ORDER_AND_SHUFFLED
+def test_the_learner_receives_each_train_row_exactly_once(small_corpus, plan, monkeypatch):
+    # Zero replay, watched from outside the phase loop: every feature row that
+    # fit_base and update receive is recorded as it arrives.
+    received: list[bytes] = []
+    real_fit_base, real_update = evaluation.fit_base, evaluation.update
+
+    def fit_base_watched(x, *args, **kwargs):
+        received.extend(row.tobytes() for row in x)
+        return real_fit_base(x, *args, **kwargs)
+
+    def update_watched(state, x, *args, **kwargs):
+        received.extend(row.tobytes() for row in x)
+        return real_update(state, x, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fit_base", fit_base_watched)
+    monkeypatch.setattr(evaluation, "update", update_watched)
+    report = run_protocol(small_corpus, plan, SMALL_CFG)
+    features = featurize_batch([r.text for r in small_corpus], SMALL_CFG,
+                               ExpansionParams.for_config(SMALL_CFG))
+    train = [row.tobytes() for row, r in zip(features, small_corpus) if r.split == "train"]
+    assert Counter(received) == Counter(train)
+    assert report.training_reads["total_reads"] == len(received)
 
 
 @_IN_ORDER_AND_SHUFFLED

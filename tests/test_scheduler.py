@@ -120,6 +120,32 @@ def test_fit_base_rejects_bad_inputs():
         fit_base(np.eye(2), np.eye(2), gamma=0.0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: SchedulerState(L=np.zeros((2, 3)), Z=np.zeros((2, 1)), W=np.zeros((2, 1)),
+                            gamma=1.0), "L must be a square matrix"),
+    (lambda: SchedulerState(L=np.eye(2), Z=np.zeros((3, 1)), W=np.zeros((3, 1)), gamma=1.0),
+     r"Z and W must have shape \(d_e, d_k\)"),
+    (lambda: SchedulerState(L=np.eye(2), Z=np.zeros((2, 1)), W=np.zeros((2, 2)), gamma=1.0),
+     r"Z and W must have shape \(d_e, d_k\)"),
+    (lambda: update(fit_base(np.eye(2), np.eye(2), 1.0), np.zeros(2), np.eye(2)),
+     "features must be a 2-D matrix with at least one row"),
+    (lambda: update(fit_base(np.eye(2), np.eye(2), 1.0), np.zeros((0, 2)), np.zeros((0, 2))),
+     "features must be a 2-D matrix with at least one row"),
+    (lambda: update(fit_base(np.eye(2), np.eye(2), 1.0), np.eye(2), np.array([1.0, 0.0])),
+     "labels must be a 2-D one-hot matrix"),
+    (lambda: update(fit_base(np.eye(2), np.eye(2), 1.0), np.eye(2), np.zeros((2, 0))),
+     "labels must have at least one class column"),
+    (lambda: one_hot([[0, 1]], 2), "class_ids must be 1-D"),
+    (lambda: predict_proba(fit_base(np.eye(2), np.eye(2), 1.0), np.zeros(3)),
+     "expected feature width 2, got 3"),
+], ids=["L-not-square", "Z-and-W-rows", "W-not-Z-shape", "update-1d-features",
+        "update-no-rows", "update-1d-labels", "update-no-label-columns", "one-hot-2d-ids",
+        "predict-proba-width"])
+def test_misshapen_arrays_are_refused_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- update -----------------------------------------------------------------
 
 
@@ -612,6 +638,16 @@ def test_load_rejects_a_singular_l(tmp_path):
     _write_state(path, header, floats.tobytes())
     with pytest.raises(StateFormatError, match="singular"):
         load_state(path)
+
+
+@pytest.mark.parametrize("load", [load_state, load_weights])
+def test_load_refuses_a_header_line_that_is_a_json_array(tmp_path, load):
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    path.write_bytes(json.dumps(list(header.values())).encode("utf-8") + b"\n" + payload)
+    with pytest.raises(StateFormatError, match="state header must be a JSON object, got list"):
+        load(path)
 
 
 def test_load_rejects_version_mismatch(tmp_path):

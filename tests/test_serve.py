@@ -21,6 +21,7 @@ import pytest
 from taskrouter import library, scheduler, service
 from taskrouter.cli import main
 from taskrouter.corpus import read_corpus
+from taskrouter.features import FeaturizerConfig
 from taskrouter.library import ExecutorRegistry, ExecutorSpec, save_manifest
 from taskrouter.scheduler import init, load_state, save_state
 from taskrouter.service import (
@@ -432,6 +433,12 @@ def test_router_requires_trained_featurized_state(served_files, tmp_path):
         Router.from_files(bare)
 
 
+def test_router_refuses_a_featurized_state_with_no_classes():
+    featurizer = FeaturizerConfig(seed=3, d_f=4, d_e=8)
+    with pytest.raises(ValueError, match="no trained classes"):
+        Router(init(8, 1.0, featurizer=featurizer))
+
+
 def test_parse_endpoint():
     assert parse_endpoint("stdio") == ("stdio", "", 0)
     assert parse_endpoint("tcp:127.0.0.1:9000") == ("tcp", "127.0.0.1", 9000)
@@ -498,7 +505,8 @@ def test_zero_amplitude_executor_serves_positive_zeros(served_files):
 @pytest.mark.parametrize("request_doc, key", [
     ({"op": "stats", "verbose": True}, "verbose"),
     ({"op": "route", "text": "pick up the ripe banana", "top_k": 1}, "top_k"),
-], ids=["stats", "route"])
+    ({"op": "route", "text": 5}, "string 'text'"),
+], ids=["stats", "route", "route-text-not-a-string"])
 def test_requests_refuse_unknown_keys(served_files, request_doc, key):
     router = Router.from_files(served_files["state"], served_files["registry"])
     response = json.loads(router.handle_request_line(json.dumps(request_doc)))
