@@ -103,10 +103,9 @@ class EvalReport:
     def to_table(self) -> str:
         """Aligned plain-text table: one row per phase plus the average."""
         rows = [("Phase", "Accuracy (%)", "Forgetting (%)")]
-        for name, acc, forg in zip(
-            self.phase_names, self.per_phase_accuracy, self.per_phase_forgetting
-        ):
-            rows.append((_display_name(name), f"{acc:.2f}", f"{forg:.2f}"))
+        for i, (acc, forg) in enumerate(zip(self.per_phase_accuracy, self.per_phase_forgetting)):
+            name = f"IL Phase {i}" if i else "Base training"
+            rows.append((name, f"{acc:.2f}", f"{forg:.2f}"))
         rows.append(("Average", f"{self.average_accuracy:.2f}", ""))
         widths = [max(len(row[i]) for row in rows) for i in range(3)]
         lines = []
@@ -115,14 +114,6 @@ class EvalReport:
                 f"{row[0]:<{widths[0]}}  {row[1]:>{widths[1]}}  {row[2]:>{widths[2]}}".rstrip()
             )
         return "\n".join(lines)
-
-
-def _display_name(phase_name: str) -> str:
-    if phase_name == "base":
-        return "Base training"
-    if phase_name.startswith("il_"):
-        return f"IL Phase {phase_name[3:]}"
-    return phase_name
 
 
 def _index_by_class(

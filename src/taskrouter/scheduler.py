@@ -255,13 +255,13 @@ def _as_label_matrix(labels: np.ndarray, n_rows: int) -> np.ndarray:
 def one_hot(class_ids, num_classes: int) -> np.ndarray:
     """One-hot encode integer class ids into an (n, num_classes) float matrix."""
     check_int(num_classes, "num_classes", 1)
-    ids = np.asarray(class_ids, dtype=np.int64)
+    ids = np.asarray(class_ids)
     if ids.ndim != 1:
         raise ValueError("class_ids must be 1-D")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_classes):
-        raise ValueError("class ids must lie in [0, num_classes)")
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= num_classes):
+        raise ValueError("class ids must be integers in [0, num_classes)")
     out = np.zeros((ids.size, num_classes), dtype=np.float64)
-    out[np.arange(ids.size), ids] = 1.0
+    out[np.arange(ids.size), ids.astype(np.intp)] = 1.0
     return out
 
 
@@ -320,13 +320,9 @@ def update(state: SchedulerState, features: np.ndarray, labels: np.ndarray) -> S
             f"features have width {feats.shape[1]}, state expects {state.d_e}"
         )
     lab = _as_label_matrix(labels, feats.shape[0])
-    if lab.shape[1] > state.d_k:
-        raise ValueError(
-            f"labels cover {lab.shape[1]} classes but the state only has "
-            f"{state.d_k}; call expand_label_space first"
-        )
-    if lab.shape[1] < state.d_k:
-        raise ValueError(f"labels cover {lab.shape[1]} classes, state expects {state.d_k}")
+    if lab.shape[1] != state.d_k:
+        raise ValueError(f"labels cover {lab.shape[1]} classes, state expects {state.d_k}; "
+                         "widen it with expand_label_space to add classes")
     return _absorb(state, feats, lab)
 
 

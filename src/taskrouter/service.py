@@ -204,19 +204,19 @@ class _Requests:
     def answer(self, router: Router) -> bytes | None:
         """The response line to the next whole request held, or None if none is."""
         while True:
-            end = self.pending.find(b"\n")
             if self.discarding:
+                end = self.pending.find(b"\n")
                 if end < 0:
                     self.pending.clear()
                     return None
                 del self.pending[: end + 1]
                 self.discarding = False
                 continue
+            end = self.pending.find(b"\n", 0, REQUEST_LINE_LIMIT)
             if end >= 0:
                 raw = self.pending[: end + 1]
                 del self.pending[: end + 1]
             elif len(self.pending) > REQUEST_LINE_LIMIT:
-                self.pending.clear()
                 self.discarding = True
                 return _TOO_LONG
             elif self.ended and self.pending:
@@ -224,8 +224,6 @@ class _Requests:
                 self.pending.clear()
             else:
                 return None
-            if len(raw) > REQUEST_LINE_LIMIT:
-                return _TOO_LONG
             line = raw.decode("utf-8", errors="replace").strip()
             if line:
                 return router.handle_request_line(line)

@@ -136,10 +136,19 @@ def test_fit_base_rejects_bad_inputs():
     (lambda: update(fit_base(np.eye(2), np.eye(2), 1.0), np.eye(2), np.zeros((2, 0))),
      "labels must have at least one class column"),
     (lambda: one_hot([[0, 1]], 2), "class_ids must be 1-D"),
+    # Ids that are not integers are refused, never cast to ones that look valid.
+    (lambda: one_hot([0.7, 1.2], 3), "class ids must be integers"),
+    (lambda: one_hot([1.0], 3), "class ids must be integers"),
+    (lambda: one_hot([True, False], 3), "class ids must be integers"),
+    (lambda: one_hot(["1", "0"], 3), "class ids must be integers"),
+    (lambda: one_hot([2**64], 3), "class ids must be integers"),
+    (lambda: one_hot([-1, 2**63], 3), "class ids must be integers"),
     (lambda: predict_proba(fit_base(np.eye(2), np.eye(2), 1.0), np.zeros(3)),
      "expected feature width 2, got 3"),
 ], ids=["L-not-square", "Z-and-W-rows", "W-not-Z-shape", "update-1d-features",
         "update-no-rows", "update-1d-labels", "update-no-label-columns", "one-hot-2d-ids",
+        "one-hot-float-ids", "one-hot-integral-float-ids", "one-hot-bool-ids", "one-hot-str-ids",
+        "one-hot-object-ids", "one-hot-mixed-sign-ids",
         "predict-proba-width"])
 def test_misshapen_arrays_are_refused_by_name(call, match):
     with pytest.raises(ValueError, match=match):
@@ -201,6 +210,16 @@ def test_update_flags_pathological_inner_system():
         update(broken, np.array([[0.0, 2.0]]), np.array([[1.0]]))
     with pytest.raises(NumericalError, match="singular"):
         broken.R
+
+
+def test_update_refuses_weights_that_overflow_from_a_finite_factor():
+    # The new factor keeps L[0, 0] = 1e-300, finite and nonzero, and the new
+    # moments stay finite, so only the solved W shows the fault: W[0] is
+    # Z[0] / 1e-300, which overflows.
+    state = SchedulerState(L=np.diag([1e-300, 1.0]), Z=np.array([[1e10], [0.0]]),
+                           W=np.zeros((2, 1)), gamma=1.0)
+    with pytest.raises(NumericalError, match="pathological"):
+        update(state, np.array([[0.0, 1.0]]), np.array([[1.0]]))
 
 
 @pytest.mark.parametrize("row", [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -492,6 +511,8 @@ def test_one_hot_rows_are_valid():
     assert mat.shape == (3, 3)
     assert (mat.sum(axis=1) == 1.0).all()
     assert np.array_equal(np.argmax(mat, axis=1), [0, 2, 1])
+    assert np.array_equal(one_hot(np.array([2, 0], dtype=np.uint8), 3), [[0, 0, 1], [1, 0, 0]])
+    assert one_hot([], 3).shape == (0, 3)
 
 
 def test_one_hot_rejects_out_of_range_ids():
@@ -499,6 +520,8 @@ def test_one_hot_rejects_out_of_range_ids():
         one_hot([0, 3], 3)
     with pytest.raises(ValueError):
         one_hot([-1], 3)
+    with pytest.raises(ValueError, match=r"in \[0, num_classes\)"):
+        one_hot([2**63], 3)  # a uint64 array, past the int64 range
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, 1.5, "2"])

@@ -426,6 +426,21 @@ def test_oversized_request_lines_get_an_error_line_each(served_files):
     assert lines[2]["d_K"] == 3
 
 
+@pytest.mark.parametrize("size", [REQUEST_LINE_LIMIT, REQUEST_LINE_LIMIT + 1],
+                         ids=["at-the-limit", "one-byte-over"])
+def test_an_unterminated_last_line_is_held_to_the_same_limit(served_files, size):
+    # With no newline to count, a last line of REQUEST_LINE_LIMIT bytes is
+    # answered and one a byte longer is refused.
+    router = Router.from_files(served_files["state"])
+    stats = json.dumps({"op": "stats"}).encode()
+    out = io.BytesIO()
+    serve_stdio(router, _BoundedReads(stats + b"\n" + stats.ljust(size)), out)
+    first, last = [json.loads(line) for line in out.getvalue().splitlines()]
+    too_long = {"error": f"request line exceeds {REQUEST_LINE_LIMIT} bytes"}
+    assert last == (first if size == REQUEST_LINE_LIMIT else too_long)
+    assert first["d_K"] == 3
+
+
 def test_router_requires_trained_featurized_state(served_files, tmp_path):
     bare = tmp_path / "bare.json"
     save_state(init(8, 1.0), bare)
