@@ -109,14 +109,12 @@ def _featurizer_from(args: argparse.Namespace) -> FeaturizerConfig:
 
 
 def _train_rows(records, classes: Sequence[int]):
-    by_class = {c: [] for c in classes}
-    for record in records:
-        if record.task_id in by_class and record.split == "train":
-            by_class[record.task_id].append(record)
+    rows = [r for c in classes for r in records if r.task_id == c and r.split == "train"]
+    trained = {r.task_id for r in rows}
     for c in classes:
-        if not by_class[c]:
+        if c not in trained:
             raise ValueError(f"class {c} has no training rows in the corpus")
-    return [record for c in classes for record in by_class[c]]
+    return rows
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:

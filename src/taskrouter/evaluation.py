@@ -116,22 +116,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _index_by_class(
-    records: list[InstructionRecord], plan: PhasePlan
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    train_idx: dict[int, list[int]] = {c: [] for c in plan.all_classes}
-    test_idx: dict[int, list[int]] = {c: [] for c in plan.all_classes}
-    for i, record in enumerate(records):
-        (train_idx if record.split == "train" else test_idx)[record.task_id].append(i)
-    for c in plan.all_classes:
-        if not train_idx[c] or not test_idx[c]:
-            raise ValueError(f"class {c} needs both train and test rows")
-    return (
-        {c: np.array(v, dtype=np.int64) for c, v in train_idx.items()},
-        {c: np.array(v, dtype=np.int64) for c, v in test_idx.items()},
-    )
-
-
 def _prepare(corpus: Sequence[InstructionRecord], plan: PhasePlan, config: FeaturizerConfig):
     records = list(corpus)
     corpus_classes = {r.task_id for r in records}
@@ -143,10 +127,16 @@ def _prepare(corpus: Sequence[InstructionRecord], plan: PhasePlan, config: Featu
             f"plan does not cover the corpus (classes missing from plan: {missing}, "
             f"planned but absent: {extra})"
         )
+    labels = np.array([r.task_id for r in records], dtype=np.int64)
+    train = np.array([r.split == "train" for r in records], dtype=bool)
+    train_idx = {c: np.flatnonzero(train & (labels == c)) for c in plan.all_classes}
+    test_idx = {c: np.flatnonzero(~train & (labels == c)) for c in plan.all_classes}
+    for c in plan.all_classes:
+        if not (train_idx[c].size and test_idx[c].size):
+            raise ValueError(f"class {c} needs both train and test rows")
+    # A corpus the split refuses is never featurized.
     params = ExpansionParams.for_config(config)
     features = featurize_batch([r.text for r in records], config, params)
-    train_idx, test_idx = _index_by_class(records, plan)
-    labels = np.array([r.task_id for r in records], dtype=np.int64)
     return features, labels, train_idx, test_idx
 
 
@@ -189,13 +179,12 @@ def _run_phases(
     which reads it ``reads_per_phase`` times.
     """
     features, labels, train_idx, test_idx = _prepare(corpus, plan, config)
-    phases = [("base", list(plan.base_classes))]
-    phases += [(f"il_{i}", [c]) for i, c in enumerate(plan.incremental_classes, start=1)]
+    classes_per_phase = [list(plan.base_classes)] + [[c] for c in plan.incremental_classes]
     accuracies: list[float] = []
     task1: list[float] = []
     confusions: list[np.ndarray] = []
     seen: list[int] = []
-    for _, classes in phases:
+    for classes in classes_per_phase:
         rows = np.concatenate([train_idx[c] for c in classes])
         seen.extend(classes)
         width = max(seen) + 1
@@ -210,8 +199,8 @@ def _run_phases(
     n_train = sum(train_idx[c].size for c in plan.all_classes)
     return EvalReport(
         method=method,
-        phase_names=[name for name, _ in phases],
-        classes_per_phase=[classes for _, classes in phases],
+        phase_names=["base"] + [f"il_{i}" for i in range(1, len(classes_per_phase))],
+        classes_per_phase=classes_per_phase,
         per_phase_accuracy=accuracies,
         task1_accuracy=task1,
         per_phase_forgetting=[task1[0] - t for t in task1],

@@ -156,6 +156,15 @@ def test_train_base_names_missing_class(workdir, capsys, tmp_path):
     assert "99" in json.loads(err.strip())["error"]
 
 
+def test_train_base_names_the_first_absent_class_in_classes_order(workdir, capsys, tmp_path):
+    # Neither 7 nor 9 is in the corpus; the refusal names 7, the first in --classes.
+    code, _, err = _run(capsys, ["train-base", "--corpus", str(workdir / "corpus.jsonl"),
+                                 "--classes", "7,9", "--state-out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert json.loads(err) == {"error": "class 7 has no training rows in the corpus"}
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_train_base_and_update_write_what_the_library_steps_write(workdir, capsys, tmp_path):
     # Both commands run one learning step. train-base must write the bytes of
     # fit_base plus save_state on the same rows, with the classes out of

@@ -114,6 +114,17 @@ def test_protocol_refuses_a_corpus_it_cannot_split_by_the_plan(small_corpus, sma
         run_protocol([r for r in small_corpus if keep(r)], small_plan, SMALL_CFG)
 
 
+def test_protocol_refuses_a_corpus_it_cannot_split_before_featurizing_it(small_corpus, small_plan,
+                                                                         monkeypatch):
+    def featurize_batch(*args):
+        raise AssertionError("featurized a corpus the protocol refuses")
+
+    monkeypatch.setattr(evaluation, "featurize_batch", featurize_batch)
+    corpus = [r for r in small_corpus if not (r.task_id == 3 and r.split == "test")]
+    with pytest.raises(ValueError, match="^class 3 needs both train and test rows$"):
+        run_protocol(corpus, small_plan, SMALL_CFG)
+
+
 # -- protocol structure ------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskrouter import features
 from taskrouter.features import (
     EMPTY_TOKEN,
     ExpansionParams,
@@ -275,3 +276,12 @@ def test_one_text_alone_equals_its_row_in_a_batch_and_routes_by_it():
     for text, row in zip(texts, batch):
         assert np.array_equal(featurize_batch([text], CFG, params)[0], row)
         assert router.route(text).probabilities == predict_proba(state, row).tolist()
+
+
+def test_the_bucket_embedding_cache_holds_at_most_8192_entries():
+    # The buckets a client's texts hash into are outside input: these three
+    # texts of 4,000 distinct tokens hash into about 11,000 of them.
+    params = ExpansionParams.for_config(CFG)
+    texts = [" ".join(f"t{k}w{i}" for i in range(4000)) for k in range(3)]
+    featurize_batch(texts, CFG, params)
+    assert features._bucket_embedding.cache_info().currsize <= 8192

@@ -14,6 +14,7 @@ import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import pytest
 from taskrouter import library, scheduler, service
 from taskrouter.cli import main
 from taskrouter.corpus import read_corpus
-from taskrouter.features import FeaturizerConfig
+from taskrouter.features import MAX_TOKENS, FeaturizerConfig
 from taskrouter.library import ExecutorRegistry, ExecutorSpec, save_manifest
 from taskrouter.scheduler import init, load_state, save_state
 from taskrouter.service import (
@@ -424,6 +425,34 @@ def test_oversized_request_lines_get_an_error_line_each(served_files):
     assert lines[0] == lines[3] == lines[4] == too_long
     assert lines[1]["task_id"] == 1 and lines[1]["executor_name"] == "exec-1"
     assert lines[2]["d_K"] == 3
+
+
+def test_a_text_over_max_tokens_gets_one_error_line_in_bounded_memory(served_files):
+    # A request line within the limit holds over half a million one-letter
+    # tokens; embedding them all would take hundreds of MiB and seconds.
+    router = Router.from_files(served_files["state"], served_files["registry"])
+    head, tail = b'{"op": "route", "text": "', b'"}\n'
+    count = (REQUEST_LINE_LIMIT - len(head) - len(tail)) // 2
+    hostile = head + b"a " * count + tail
+    assert len(hostile) <= REQUEST_LINE_LIMIT
+    at_cap, over_cap = (json.dumps({"op": "route", "text": "banana " * n}).encode() + b"\n"
+                        for n in (MAX_TOKENS, MAX_TOKENS + 1))
+    stats = json.dumps({"op": "stats"}).encode() + b"\n"
+    out = io.BytesIO()
+    tracemalloc.start()
+    try:
+        serve_stdio(router, io.BytesIO(hostile + stats + at_cap + over_cap), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(lines) == 4
+    refusal = "text has {} tokens; at most " + f"{MAX_TOKENS} are allowed"
+    assert lines[0] == {"error": refusal.format(count)}
+    assert lines[1]["d_K"] == 3
+    assert lines[2]["task_id"] == 0 and lines[2]["executor_name"] == "exec-0"
+    assert lines[3] == {"error": refusal.format(MAX_TOKENS + 1)}
+    assert peak <= 32 << 20
 
 
 @pytest.mark.parametrize("size", [REQUEST_LINE_LIMIT, REQUEST_LINE_LIMIT + 1],
