@@ -190,7 +190,7 @@ def _default_plan(records) -> PhasePlan:
     classes = sorted({r.task_id for r in records})
     if len(classes) < 2:
         raise ValueError("need at least 2 classes for the protocol")
-    half = max(1, len(classes) // 2)
+    half = len(classes) // 2
     return PhasePlan(
         base_classes=tuple(classes[:half]),
         incremental_classes=tuple(classes[half:]),

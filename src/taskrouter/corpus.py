@@ -18,6 +18,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .checks import check_int, json_fields, parse_json
+from .features import tokenize
 
 __all__ = [
     "InstructionRecord",
@@ -231,7 +232,9 @@ def read_corpus(source: str | Path) -> list[InstructionRecord]:
                 continue
             doc = parse_json(line, "invalid JSON")
             doc = json_fields(doc, "corpus record", ("text", "task_id", "split"))
-            records.append(InstructionRecord(**doc))
+            record = InstructionRecord(**doc)
+            tokenize(record.text, None)  # refuses a text featurization would refuse
+            records.append(record)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if not records:

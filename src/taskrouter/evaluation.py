@@ -62,7 +62,8 @@ class EvalReport:
     """Per-phase accuracies, forgetting, confusion counts, and training reads.
 
     ``training_reads`` follows from the plan's partition of the train rows;
-    ``final_state`` and ``final_weights`` are in-process artefacts, not JSON.
+    ``final_state``, the last phase's model and not JSON, is the router's
+    :class:`SchedulerState` or the baseline's ``(d_e, d_K)`` weight matrix.
     """
 
     method: str
@@ -75,7 +76,6 @@ class EvalReport:
     confusion: list[np.ndarray]
     training_reads: dict[str, int]
     final_state: object = field(repr=False, default=None)
-    final_weights: np.ndarray | None = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,33 +129,34 @@ def _prepare(corpus: Sequence[InstructionRecord], plan: PhasePlan, config: Featu
         )
     labels = np.array([r.task_id for r in records], dtype=np.int64)
     train = np.array([r.split == "train" for r in records], dtype=bool)
-    train_idx = {c: np.flatnonzero(train & (labels == c)) for c in plan.all_classes}
-    test_idx = {c: np.flatnonzero(~train & (labels == c)) for c in plan.all_classes}
-    for c in plan.all_classes:
-        if not (train_idx[c].size and test_idx[c].size):
-            raise ValueError(f"class {c} needs both train and test rows")
+    classes_per_phase = [list(plan.base_classes)] + [[c] for c in plan.incremental_classes]
+    train_rows, test_rows = [], []
+    for classes in classes_per_phase:
+        for c in classes:
+            if np.unique(train[labels == c]).size < 2:
+                raise ValueError(f"class {c} needs both train and test rows")
+        train_rows.append(np.concatenate([np.flatnonzero(train & (labels == c)) for c in classes]))
+        test_rows.append(np.concatenate([np.flatnonzero(~train & (labels == c)) for c in classes]))
     # A corpus the split refuses is never featurized.
     params = ExpansionParams.for_config(config)
     features = featurize_batch([r.text for r in records], config, params)
-    return features, labels, train_idx, test_idx
+    return features, labels, classes_per_phase, train_rows, test_rows
 
 
 def _phase_metrics(
     predictor: Callable[[np.ndarray], np.ndarray],
     features: np.ndarray,
     labels: np.ndarray,
-    test_idx: dict[int, np.ndarray],
-    seen_classes: list[int],
-    base_classes: tuple[int, ...],
+    rows: np.ndarray,
+    n_base: int,
     d_k: int,
 ) -> tuple[float, float, np.ndarray]:
-    cum_rows = np.concatenate([test_idx[c] for c in sorted(seen_classes)])
-    preds = np.asarray(predictor(features[cum_rows]))
-    truth = labels[cum_rows]
+    preds = np.asarray(predictor(features[rows]))
+    truth = labels[rows]
     hits = preds == truth
     accuracy = 100.0 * float(np.mean(hits))
-    # The base classes' test rows are among the cumulative ones: one prediction serves both.
-    task1_acc = 100.0 * float(np.mean(hits[np.isin(truth, base_classes)]))
+    # The base classes' test rows come first: one prediction serves both.
+    task1_acc = 100.0 * float(np.mean(hits[:n_base]))
     confusion = np.zeros((d_k, d_k), dtype=np.int64)
     np.add.at(confusion, (truth, preds), 1)
     return accuracy, task1_acc, confusion
@@ -166,37 +167,28 @@ def _run_phases(
     corpus: Sequence[InstructionRecord],
     plan: PhasePlan,
     config: FeaturizerConfig,
-    train: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    learn: Callable[[object, np.ndarray, np.ndarray], object],
+    classify: Callable[[object, np.ndarray], np.ndarray],
     reads_per_phase: int = 1,
 ) -> EvalReport:
-    """The phase loop both methods share; ``train`` is the method's one training step.
+    """The phase loop both methods share: a fold of the method's ``learn`` over the phases.
 
-    ``train(x, targets)`` learns from one phase's rows and one-hot targets,
-    which widen as classes arrive, and returns a predictor from feature rows
-    to class ids; the loop scores it before the next phase trains, on the
-    cumulative test set and on the base classes' test set. The plan's classes
-    are disjoint, so each train row goes to ``train`` in exactly one phase,
-    which reads it ``reads_per_phase`` times.
+    ``learn(model, x, targets)`` maps the model so far (None at first) and one
+    phase's rows, class by class in plan order, with one-hot targets that widen
+    as classes arrive, to the next model; ``classify(model, x)`` gives class ids.
+    Each model is scored on the cumulative and the base classes' test rows. The
+    plan's classes are disjoint, so each train row goes to ``learn`` in exactly
+    one phase, which reads it ``reads_per_phase`` times.
     """
-    features, labels, train_idx, test_idx = _prepare(corpus, plan, config)
-    classes_per_phase = [list(plan.base_classes)] + [[c] for c in plan.incremental_classes]
-    accuracies: list[float] = []
-    task1: list[float] = []
-    confusions: list[np.ndarray] = []
-    seen: list[int] = []
-    for classes in classes_per_phase:
-        rows = np.concatenate([train_idx[c] for c in classes])
-        seen.extend(classes)
-        width = max(seen) + 1
-        predictor = train(features[rows], one_hot(labels[rows], width))
-        acc, t1, conf = _phase_metrics(
-            predictor, features, labels, test_idx, seen, plan.base_classes, width
-        )
-        accuracies.append(acc)
-        task1.append(t1)
-        confusions.append(conf)
-
-    n_train = sum(train_idx[c].size for c in plan.all_classes)
+    features, labels, classes_per_phase, train_rows, test_rows = _prepare(corpus, plan, config)
+    model, width, scores = None, 0, []
+    for k, (classes, rows) in enumerate(zip(classes_per_phase, train_rows)):
+        width = max(width, max(classes) + 1)
+        model = learn(model, features[rows], one_hot(labels[rows], width))
+        scores.append(_phase_metrics(lambda x: classify(model, x), features, labels,
+                                     np.concatenate(test_rows[:k + 1]), test_rows[0].size, width))
+    accuracies, task1, confusions = (list(column) for column in zip(*scores))
+    n_train = sum(rows.size for rows in train_rows)
     return EvalReport(
         method=method,
         phase_names=["base"] + [f"il_{i}" for i in range(1, len(classes_per_phase))],
@@ -212,6 +204,7 @@ def _run_phases(
             "max_reads": reads_per_phase,
             "total_reads": n_train * reads_per_phase,
         },
+        final_state=model,
     )
 
 
@@ -233,21 +226,15 @@ def run_protocol(
     next change.
     """
     _check_expansion_seed(expansion_seed, config)
-    state = None
 
-    def train(x: np.ndarray, targets: np.ndarray):
-        nonlocal state
+    def learn(state, x: np.ndarray, targets: np.ndarray):
         if state is None:
-            state = fit_base(x, targets, gamma, featurizer=config)
-        else:
-            if targets.shape[1] > state.d_k:
-                state = expand_label_space(state, targets.shape[1])
-            state = update(state, x, targets)
-        return lambda f: predict(state, f)
+            return fit_base(x, targets, gamma, featurizer=config)
+        if targets.shape[1] > state.d_k:
+            state = expand_label_space(state, targets.shape[1])
+        return update(state, x, targets)
 
-    report = _run_phases("router", corpus, plan, config, train)
-    report.final_state = state
-    return report
+    return _run_phases("router", corpus, plan, config, learn, predict)
 
 
 def baseline_sequential(
@@ -268,19 +255,16 @@ def baseline_sequential(
     check_int(steps, "steps")
     if check_number(learning_rate, "learning_rate") < 0.0:
         raise ValueError(f"learning_rate must not be negative, got {learning_rate!r}")
-    weights = np.zeros((config.d_e, 0))
 
-    def train(x: np.ndarray, targets: np.ndarray):
-        nonlocal weights
-        grown = targets.shape[1] - weights.shape[1]
-        if grown > 0:
-            weights = np.hstack([weights, np.zeros((config.d_e, grown))])
+    def learn(previous, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        weights = np.zeros((config.d_e, targets.shape[1]))
+        if previous is not None:
+            weights[:, :previous.shape[1]] = previous
         for _ in range(steps):
             probs = _softmax(x @ weights)
             grad = x.T @ (probs - targets) / x.shape[0]
             weights -= learning_rate * grad
-        return lambda f: np.argmax(f @ weights, axis=1)
+        return weights
 
-    report = _run_phases("baseline", corpus, plan, config, train, reads_per_phase=steps)
-    report.final_weights = weights
-    return report
+    return _run_phases("baseline", corpus, plan, config, learn,
+                       lambda weights, x: np.argmax(x @ weights, axis=1), reads_per_phase=steps)

@@ -11,7 +11,7 @@ import pytest
 
 from taskrouter.cli import main
 from taskrouter.corpus import read_corpus, write_corpus
-from taskrouter.features import ExpansionParams, FeaturizerConfig, featurize_batch
+from taskrouter.features import MAX_TOKENS, ExpansionParams, FeaturizerConfig, featurize_batch
 from taskrouter.library import ExecutorRegistry, ExecutorSpec, save_manifest
 from taskrouter.scheduler import (
     expand_label_space,
@@ -162,6 +162,19 @@ def test_train_base_names_the_first_absent_class_in_classes_order(workdir, capsy
                                  "--classes", "7,9", "--state-out", str(tmp_path / "x.json")])
     assert code == 1
     assert json.loads(err) == {"error": "class 7 has no training rows in the corpus"}
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_train_base_names_the_line_of_a_text_longer_than_the_featurizer_takes(capsys, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    texts = ["grab the cube", "pick " * (MAX_TOKENS + 1)]
+    corpus.write_text("".join(json.dumps({"text": t, "task_id": 0, "split": "train"}) + "\n"
+                              for t in texts))
+    code, _, err = _run(capsys, ["train-base", "--corpus", str(corpus), "--classes", "0",
+                                 "--state-out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert json.loads(err) == {
+        "error": f"line 2: text has {MAX_TOKENS + 1} tokens; at most {MAX_TOKENS} are allowed"}
     assert not (tmp_path / "x.json").exists()
 
 

@@ -14,6 +14,7 @@ from taskrouter.corpus import (
     read_corpus,
     write_corpus,
 )
+from taskrouter.features import MAX_TOKENS
 
 
 def test_ten_classes_of_102_yield_1020_instructions():
@@ -109,6 +110,18 @@ def test_read_names_bad_lines(tmp_path):
     path.write_text("\n")
     with pytest.raises(ValueError, match="empty"):
         read_corpus(path)
+
+
+def test_read_refuses_a_text_longer_than_the_featurizer_takes(tmp_path):
+    # The featurizer's own limit, met at read time: the refusal names the line.
+    good = json.dumps({"text": "grab the cube", "task_id": 0, "split": "train"})
+    for n in (MAX_TOKENS, MAX_TOKENS + 1):
+        long = json.dumps({"text": "pick " * n, "task_id": 0, "split": "train"})
+        (tmp_path / f"{n}.jsonl").write_text(f"{good}\n{long}\n")
+    assert read_corpus(tmp_path / f"{MAX_TOKENS}.jsonl")[1].text == "pick " * MAX_TOKENS
+    refusal = f"^line 2: text has {MAX_TOKENS + 1} tokens; at most {MAX_TOKENS} are allowed$"
+    with pytest.raises(ValueError, match=refusal):
+        read_corpus(tmp_path / f"{MAX_TOKENS + 1}.jsonl")
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])

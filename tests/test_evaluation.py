@@ -35,7 +35,7 @@ def _report_with_metrics(monkeypatch, accuracies, task1):
     """A protocol report whose phases measured exactly ``accuracies`` and ``task1``."""
     scripted = iter(zip(accuracies, task1))
 
-    def phase_metrics(predictor, features, labels, test_idx, seen, base_classes, d_k):
+    def phase_metrics(predictor, features, labels, rows, n_base, d_k):
         acc, t1 = next(scripted)
         return acc, t1, np.zeros((d_k, d_k), dtype=np.int64)
 
@@ -234,6 +234,26 @@ def test_the_learner_receives_each_train_row_exactly_once(small_corpus, plan, mo
     assert report.training_reads["total_reads"] == len(received)
 
 
+def test_the_base_fit_receives_its_classes_rows_in_plan_order(monkeypatch):
+    # The order of the base rows fixes the bytes of the fitted state: class 2's
+    # train rows, then class 0's, each in corpus order. The zero-replay test
+    # above compares multisets, so it cannot see this.
+    corpus = generate_synthetic_corpus(3, 20, seed=4)
+    received = []
+    real_fit_base = evaluation.fit_base
+
+    def fit_base_watched(x, *args, **kwargs):
+        received.append(x)
+        return real_fit_base(x, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fit_base", fit_base_watched)
+    run_protocol(corpus, PhasePlan(base_classes=(2, 0), incremental_classes=(1,)), SMALL_CFG)
+    texts = [r.text for c in (2, 0) for r in corpus if r.task_id == c and r.split == "train"]
+    expected = featurize_batch(texts, SMALL_CFG, ExpansionParams.for_config(SMALL_CFG))
+    (x,) = received
+    assert np.array_equal(x, expected)
+
+
 @_IN_ORDER_AND_SHUFFLED
 def test_both_methods_score_the_same_rows(small_corpus, plan):
     router = run_protocol(small_corpus, plan, SMALL_CFG)
@@ -261,7 +281,7 @@ def test_task1_accuracy_matches_predicting_the_base_rows_alone(small_corpus, pla
         prefix = PhasePlan(plan.base_classes, plan.incremental_classes[:k])
         corpus = [r for r in small_corpus if r.task_id in prefix.all_classes]
         state = run_protocol(corpus, prefix, SMALL_CFG).final_state
-        weights = baseline_sequential(corpus, prefix, SMALL_CFG, steps=5).final_weights
+        weights = baseline_sequential(corpus, prefix, SMALL_CFG, steps=5).final_state
         assert router.task1_accuracy[k] == 100.0 * float(np.mean(predict(state, x) == truth))
         assert baseline.task1_accuracy[k] == 100.0 * float(
             np.mean(np.argmax(x @ weights, axis=1) == truth))
@@ -281,7 +301,7 @@ def test_zero_learning_rate_means_no_training(small_corpus, small_plan):
         small_corpus, small_plan, SMALL_CFG, steps=0
     )
     assert frozen.per_phase_accuracy == untrained.per_phase_accuracy
-    assert np.array_equal(frozen.final_weights, np.zeros_like(frozen.final_weights))
+    assert np.array_equal(frozen.final_state, np.zeros_like(frozen.final_state))
 
 
 @pytest.mark.parametrize(

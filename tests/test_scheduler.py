@@ -5,11 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -742,6 +744,20 @@ def test_load_rejects_wrong_payload_length(tmp_path, cut):
     _write_state(path, header, cut(payload))
     with pytest.raises(StateFormatError, match="payload is .* bytes, expected"):
         load_state(path)
+
+
+def test_load_refuses_a_payload_that_ends_before_the_size_fstat_reported(tmp_path, monkeypatch):
+    # A file that shrinks between the size check and the reads: fstat reports
+    # the full payload, and the last read comes up 8 bytes short.
+    path = tmp_path / "state.json"
+    save_state(_trained_state(), path)
+    header, payload = _split_state(path)
+    _write_state(path, header, payload[:-8])
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+    for load in (load_state, load_weights):
+        with pytest.raises(StateFormatError, match="^state payload is truncated$"):
+            load(path)
 
 
 def test_load_rejects_header_longer_than_the_bound(tmp_path):
